@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BadBracketError,
+    ConvergenceFailure,
     DegenerateSlopesError,
     DomainError,
     InfeasiblePairError,
@@ -112,7 +112,9 @@ def intersection_step(point_minus, point_plus):
     Inputs are (lam, J, F, L) tuples at the bracket ends with F_minus >
     F_plus strictly; returns the abscissa of the intersection and the
     tangent height there.  For points on a concave piecewise-linear curve
-    the abscissa falls inside the bracket.
+    the abscissa falls inside the bracket; when an end of the bracket is
+    itself the breakpoint, round-off can put it a few ulps outside, and it is
+    clamped back.
     """
     lam_m, j_m, f_m, l_m = point_minus
     lam_p, j_p, f_p, l_p = point_plus
@@ -122,7 +124,7 @@ def intersection_step(point_minus, point_plus):
         raise DegenerateSlopesError(
             f"tangent slopes {f_m} and {f_p} do not cross; both ends share a segment"
         )
-    lam_next = (j_p - j_m) / (f_m - f_p)
+    lam_next = min(max((j_p - j_m) / (f_m - f_p), lam_m), lam_p)
     l_tilde = f_m * (lam_next - lam_m) + l_m
     return float(lam_next), float(l_tilde)
 
@@ -134,20 +136,17 @@ class _PointSolver:
         self.model = model
         self.cache = {}
         self._warm_policy = None
-        self._warm_bias = None
 
     def solve(self, lam: float):
         lam = float(lam)
         if lam in self.cache:
             return self.cache[lam]
-        policy, gb, view = spi_solve(
-            self.model, lam, policy0=self._warm_policy, v0=self._warm_bias
-        )
+        policy, _, view = spi_solve(self.model, lam, policy0=self._warm_policy)
         metrics = stationary_metrics(self.model, policy)
         point = SearchPoint(lam=lam, J=metrics.J, F=metrics.F, L=metrics.J + lam * metrics.F)
         entry = (policy, view, metrics, point)
         self.cache[lam] = entry
-        self._warm_policy, self._warm_bias = policy, gb.bias
+        self._warm_policy = policy
         return entry
 
 
@@ -194,15 +193,21 @@ def build_mixture(
     policy_minus: DeterministicPolicy,
     policy_plus: DeterministicPolicy,
     f_max: float,
+    *,
+    f_minus: float | None = None,
+    f_plus: float | None = None,
 ) -> MixturePolicy:
     """Mix two policies so the stationary transmission frequency hits f_max.
 
     policy_minus must over-transmit and policy_plus stay within budget.  The
     linear interpolation seeds p; a root-find on the stationary frequency of
-    the randomized kernel then pins it to the budget.
+    the randomized kernel then pins it to the budget.  f_minus and f_plus are
+    the two policies' stationary frequencies, computed here when not given.
     """
-    f_minus = stationary_metrics(model, policy_minus).F
-    f_plus = stationary_metrics(model, policy_plus).F
+    if f_minus is None:
+        f_minus = stationary_metrics(model, policy_minus).F
+    if f_plus is None:
+        f_plus = stationary_metrics(model, policy_plus).F
     if not (f_plus <= f_max + F_MATCH_TOL and f_max <= f_minus + F_MATCH_TOL):
         raise InfeasiblePairError(
             f"budget {f_max} outside the pair's frequencies [{f_plus:.6f}, {f_minus:.6f}]"
@@ -225,12 +230,16 @@ def build_mixture(
     if abs(gap_lin) <= F_MATCH_TOL * 1e-2:
         p_star = p_lin
     else:
-        g0, g1 = freq_gap(0.0), freq_gap(1.0)
+        # p = 0 is policy_plus alone and p = 1 policy_minus alone.
+        g0, g1 = f_plus - f_max, f_minus - f_max
         if g0 > 0 or g1 < 0:
             raise InfeasiblePairError(
-                f"stationary frequency range [{g0 + f_max:.6f}, {g1 + f_max:.6f}] misses {f_max}"
+                f"stationary frequency range [{f_plus:.6f}, {f_minus:.6f}] misses {f_max}"
             )
-        p_star = brentq(freq_gap, 0.0, 1.0, xtol=1e-12)
+        if gap_lin > 0:
+            p_star = _illinois(freq_gap, 0.0, g0, p_lin, gap_lin)
+        else:
+            p_star = _illinois(freq_gap, p_lin, gap_lin, 1.0, g1)
     return MixturePolicy(
         p=float(p_star),
         policy_minus=policy_minus,
@@ -238,6 +247,34 @@ def build_mixture(
         differing_states=diff,
         p_linear=float(p_lin),
     )
+
+
+def _illinois(fn, a, fa, b, fb, xtol=1e-12, max_iters=100):
+    """Root of fn in [a, b], where fa = fn(a) <= 0 <= fb = fn(b).
+
+    Regula falsi with the Illinois rule: when the same end is kept twice in
+    a row, the other end's value is halved so that both ends close in.
+    Stops once the bracket is narrower than xtol.
+    """
+    kept = 0  # -1: a was kept last step, +1: b was kept
+    for _ in range(max_iters):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = fn(c)
+        if fc == 0.0:
+            return c
+        if fc < 0.0:
+            a, fa = c, fc
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = c, fc
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+        if b - a <= xtol:
+            return c
+    raise ConvergenceFailure(f"mixture root-find bracket still {b - a:.2e} wide")
 
 
 def solve_cmdp(
@@ -317,7 +354,7 @@ def solve_cmdp(
             kind="deterministic", lam_star=lam_star, policy=pol_m,
             F=met_m.F, J=met_m.J, trace=trace, view_plus=view_m,
         )
-    mix = build_mixture(model, pol_m, pol_p, f_max)
+    mix = build_mixture(model, pol_m, pol_p, f_max, f_minus=met_m.F, f_plus=met_p.F)
     trace.extras["p_linear"] = mix.p_linear
     trace.extras["p_recalibrated"] = mix.p
     met = stationary_metrics(model, mix)

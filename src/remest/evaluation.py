@@ -13,21 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceFailure, DomainError, SupportMismatchError
+from .errors import ConvergenceFailure, DomainError, RemestError, SupportMismatchError
 from .model import SystemModel
 from .solver import (
     DeterministicPolicy,
     GainBias,
     ThresholdView,
+    _pinned_lu,
     induced_kernel,
     reachable_set,
     spi_solve,
 )
 
-STATIONARY_TOL = 1e-14
+STATIONARY_TOL = 1e-11
 
 
 @dataclass
@@ -57,66 +56,34 @@ def _mixture_parts(policy):
 def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     """Exact frequency and error cost of a deterministic or mixture policy.
 
-    The stationary law is found by power iteration on the induced kernel
-    restricted to the class reachable from the reference state, with an
-    exact linear solve as fallback; unreachable product states carry zero
-    mass.
+    The stationary law is solved directly on the class reachable from the
+    reference state, with the pinned LU that policy evaluation uses
+    (transposed); states outside that class carry exactly zero mass.
     """
     p, act_minus, act_plus = _mixture_parts(policy)
-    kernel = induced_kernel(model, act_minus)
-    if act_plus is not act_minus:
-        kernel = p * kernel + (1.0 - p) * induced_kernel(model, act_plus)
-        kernel = sp.csr_matrix(kernel)
-        kernel.eliminate_zeros()
-    reach = reachable_set(kernel, model.ref_index)
-    sub = sp.csr_matrix(kernel[reach][:, reach])
-
-    mu_sub = _stationary_of(sub)
-    mu = np.zeros(model.num_mdp_states)
-    mu[reach] = mu_sub
-
     tx_rate = p * act_minus + (1.0 - p) * act_plus
+    ref = model.ref_index
+    reach = reachable_set(induced_kernel(model, tx_rate), ref)
+    try:
+        matrix, lu = _pinned_lu(model, tx_rate, ref, reach)
+    except RuntimeError as exc:
+        raise ConvergenceFailure(f"stationary law solve failed: {exc}") from exc
+    rhs = np.zeros(reach.size + 1)
+    rhs[-1] = 1.0
+    sol = lu.solve(rhs, trans="T")
+    resid = np.abs(matrix.T @ sol - rhs).max()
+    if not resid <= STATIONARY_TOL:
+        raise ConvergenceFailure(f"stationary law balance residual {resid:.2e}")
+    mu = np.zeros(model.num_mdp_states)
+    mu[reach] = np.clip(sol[:-1], 0.0, None)
+    mu /= mu.sum()
+
     cost_minus = np.where(act_minus.astype(bool), model.tx_cost, model.idle_cost)
     cost_plus = np.where(act_plus.astype(bool), model.tx_cost, model.idle_cost)
     err_cost = p * cost_minus + (1.0 - p) * cost_plus
     f = float(mu @ tx_rate)
     j = float(mu @ err_cost)
     return StationaryMetrics(mu=mu, F=f, J=j, reachable=reach)
-
-
-def _stationary_of(kernel: sp.csr_matrix, max_iter: int = 200_000) -> np.ndarray:
-    m = kernel.shape[0]
-    mu = np.full(m, 1.0 / m)
-    kt = kernel.T.tocsr()
-    for _ in range(max_iter):
-        nxt = kt @ mu
-        s = nxt.sum()
-        if s <= 0:
-            break
-        nxt /= s
-        if np.abs(nxt - mu).max() < STATIONARY_TOL:
-            mu = nxt
-            resid = np.abs(kt @ mu - mu).max()
-            if resid < 1e-10:
-                return np.clip(mu, 0.0, None)
-            break
-        mu = nxt
-    # Fallback: replace one balance equation with the normalization.
-    a = (kt - sp.identity(m, format="csr")).tolil()
-    a[0, :] = 1.0
-    b = np.zeros(m)
-    b[0] = 1.0
-    try:
-        mu = spla.spsolve(a.tocsc(), b)
-    except RuntimeError as exc:
-        raise ConvergenceFailure(f"stationary law solve failed: {exc}") from exc
-    if not np.all(np.isfinite(mu)):
-        raise ConvergenceFailure("stationary law solve returned non-finite mass")
-    mu = np.clip(mu, 0.0, None)
-    total = mu.sum()
-    if total <= 0:
-        raise ConvergenceFailure("stationary law has no mass")
-    return mu / total
 
 
 @dataclass
@@ -140,33 +107,20 @@ class SolveOutcome:
 def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     """Solve the relaxed problem along an ascending price grid.
 
-    Each solve warm-starts from the previous policy; per-point failures are
-    recorded in the outcome's diagnostics and the sweep continues.
+    Each solve warm-starts from the previous policy.  A library error
+    (RemestError) at one point is recorded in that outcome's diagnostics and
+    the sweep continues; any other exception propagates.
     """
     grid = [float(l) for l in lambda_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("lambda grid must be sorted ascending")
     outcomes = []
     policy0 = None
-    v0 = None
     for lam in grid:
         try:
-            policy, gb, view = spi_solve(model, lam, policy0=policy0, v0=v0)
+            policy, gb, view = spi_solve(model, lam, policy0=policy0)
             metrics = stationary_metrics(model, policy)
-            outcomes.append(
-                SolveOutcome(
-                    lam=lam,
-                    gain=gb.gain,
-                    J=metrics.J,
-                    F=metrics.F,
-                    policy=policy,
-                    view=view,
-                    gainbias=gb,
-                    diagnostics={"sweeps": gb.sweeps, "method": gb.method},
-                )
-            )
-            policy0, v0 = policy, gb.bias
-        except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
+        except RemestError as exc:
             outcomes.append(
                 SolveOutcome(
                     lam=lam, gain=float("nan"), J=float("nan"), F=float("nan"),
@@ -174,6 +128,20 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
                     diagnostics={"error": f"{type(exc).__name__}: {exc}"},
                 )
             )
+            continue
+        outcomes.append(
+            SolveOutcome(
+                lam=lam,
+                gain=gb.gain,
+                J=metrics.J,
+                F=metrics.F,
+                policy=policy,
+                view=view,
+                gainbias=gb,
+                diagnostics={"sweeps": gb.sweeps, "method": gb.method},
+            )
+        )
+        policy0 = policy
     return outcomes
 
 

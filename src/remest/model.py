@@ -152,8 +152,8 @@ class SystemModel:
     """Immutable bundle of chain, channel, costs, truncations and kernels.
 
     All per-state dynamic quantities are precomputed as flat arrays indexed
-    by the dense state index; solvers only ever gather through them, so
-    evaluation sweeps are pure numpy.  idle_cost and tx_cost are the
+    by the dense state index; solvers gather through them, and the sparse
+    kernels are assembled from them.  idle_cost and tx_cost are the
     expected error cost of a slot when idling and when transmitting.
     """
 

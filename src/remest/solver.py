@@ -9,8 +9,10 @@ Two independent routes are kept deliberately separate:
 * ``rvi_solve`` runs plain relative value iteration over all state-action
   pairs and serves as the unstructured oracle.
 
-Policy evaluation solves the gain/bias equations by relative sweeps with a
-sparse exact solve as fallback; the bias is pinned to zero at the model's
+Policy evaluation and the stationary law (``evaluation.stationary_metrics``)
+share one direct solve: a sparse LU of the pinned bordered system
+[[I - K(q), 1], [e_ref, 0]], where K(q) is the kernel induced by a per-state
+transmit probability q and the bias is pinned to zero at the model's
 reference state.
 """
 
@@ -29,6 +31,7 @@ from .model import SystemModel
 
 INF = math.inf
 TIE_TOL = 1e-12
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -57,8 +60,12 @@ class GainBias:
     ``gain`` is the average cost, ``bias`` the relative value vector with
     bias[s_ref] = 0.  ``j_component`` and ``f_component`` decompose the gain
     into the error-cost part and the transmission frequency (gain ==
-    j + lam * f up to round-off); they are computed by evaluating the same
-    policy under the stripped-down costs, not from a stationary law.
+    j + lam * f up to round-off); they are further right-hand sides of the
+    same pinned solve, not read from a stationary law.  ``residual`` is the
+    largest Bellman residual of (gain, bias).  ``method`` names the route:
+    "pinned-lu" (the full-space solve), "class-solve" (a multichain policy,
+    see ``policy_evaluate``) or "rvi".  ``sweeps`` counts value-iteration
+    sweeps and is 0 for a direct solve.
     """
 
     gain: float
@@ -67,7 +74,7 @@ class GainBias:
     j_component: float | None = None
     f_component: float | None = None
     residual: float = float("nan")
-    method: str = "sweeps"
+    method: str = "pinned-lu"
     sweeps: int = 0
 
 
@@ -156,22 +163,68 @@ def reactive_policy(model: SystemModel) -> DeterministicPolicy:
     return DeterministicPolicy((~model.idle_pinned).astype(np.uint8))
 
 
-def induced_kernel(model: SystemModel, actions: np.ndarray) -> sp.csr_matrix:
-    """Sparse one-step kernel of the chain induced by a deterministic policy."""
+def induced_kernel(model: SystemModel, tx_prob: np.ndarray) -> sp.csr_matrix:
+    """Sparse one-step kernel K(q) = P_idle + diag(p_s q)(P_succ - P_idle).
+
+    ``tx_prob`` is the per-state transmit probability q: the 0/1 action
+    table of a deterministic policy, or the coin-weighted table of a mixture.
+    """
+    rows, cols, probs = _kernel_entries(model, tx_prob)
     s_count = model.num_mdp_states
-    n = model.n_states
-    idle_w = np.where(actions.astype(bool), model.p_f, 1.0)
-    rows_idx = np.repeat(np.arange(s_count), n)
-    data = (model.source_rows * idle_w[:, None]).ravel()
-    cols = model.idle_targets.ravel()
-    tx = np.flatnonzero(actions)
-    if tx.size:
-        rows_idx = np.concatenate([rows_idx, np.repeat(tx, n)])
-        data = np.concatenate([data, (model.p_s * model.source_rows[tx]).ravel()])
-        cols = np.concatenate([cols, model.succ_targets[tx].ravel()])
-    kernel = sp.coo_matrix((data, (rows_idx, cols)), shape=(s_count, s_count)).tocsr()
-    kernel.eliminate_zeros()
-    return kernel
+    return sp.csr_matrix((probs, (rows, cols)), shape=(s_count, s_count))
+
+
+def _kernel_entries(model: SystemModel, tx_prob: np.ndarray):
+    """COO triplets of K(q) gathered from the model's targets; zeros dropped."""
+    s_count, n = model.idle_targets.shape
+    w = model.p_s * np.asarray(tx_prob, dtype=float)
+    rows = np.tile(np.repeat(np.arange(s_count, dtype=np.int32), n), 2)
+    cols = np.concatenate([model.idle_targets.ravel(), model.succ_targets.ravel()])
+    cols = cols.astype(np.int32, copy=False)
+    probs = np.concatenate(
+        [
+            ((1.0 - w)[:, None] * model.source_rows).ravel(),
+            (w[:, None] * model.source_rows).ravel(),
+        ]
+    )
+    keep = probs != 0.0
+    return rows[keep], cols[keep], probs[keep]
+
+
+def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, s_ref: int, states=None):
+    """Sparse LU of the pinned system M = [[I - K(q), 1], [e_ref, 0]].
+
+    The unknowns are (bias, gain): M [h; g] = [c; 0] is the gain/bias system
+    with h[s_ref] = 0, and M^T [mu; 0] = [0; 1] is the stationary law.
+    ``states``, when given, is a closed set of the chain containing s_ref and
+    the system is restricted to it.  Returns (M, lu); raises RuntimeError
+    when M is exactly singular.
+    """
+    rows, cols, probs = _kernel_entries(model, tx_prob)
+    m = model.num_mdp_states
+    if states is not None:
+        local = np.full(m, -1, dtype=np.int32)
+        local[states] = np.arange(states.size)
+        keep = local[rows] >= 0
+        rows, cols, probs = local[rows[keep]], local[cols[keep]], probs[keep]
+        s_ref = int(local[s_ref])
+        m = states.size
+    diag = np.arange(m)
+    matrix = sp.csc_matrix(
+        (
+            np.concatenate([-probs, np.ones(2 * m + 1)]),
+            (
+                np.concatenate([rows, diag, diag, [m]]),
+                np.concatenate([cols, diag, np.full(m, m), [s_ref]]),
+            ),
+        ),
+        shape=(m + 1, m + 1),
+    )
+    del rows, cols, probs  # the process's peak memory is set inside splu
+    # relax = panel_size = 1 keep SuperLU's working memory down: at
+    # S = 24 025 one factor raises the peak by about 18 MiB against 25 MiB
+    # with the defaults, and a price sweep there runs no slower.
+    return matrix, spla.splu(matrix, relax=1, panel_size=1)
 
 
 def reachable_set(kernel: sp.csr_matrix, start: int) -> np.ndarray:
@@ -197,180 +250,78 @@ def policy_evaluate(
     policy: DeterministicPolicy,
     lam: float,
     s_ref: int | None = None,
-    v0: np.ndarray | None = None,
-    components: bool = True,
-    sweep_cap: int = 100_000,
-    span_tol: float = 1e-12,
 ) -> GainBias:
     """Gain and bias of a fixed policy, bias pinned to zero at s_ref.
 
-    Relative sweeps are the primary route; if they stall (slow mixing, or a
-    policy whose induced chain splits into classes with unequal gains) the
-    pinned linear system is solved sparsely, restricted to the class of
-    s_ref when the full system is singular.  Raises ConvergenceFailure only
-    when every route fails.
+    One sparse LU of the pinned system gives the gain, the bias and the
+    (J, F) split as three right-hand sides.  When that system is singular
+    or its residual exceeds RESIDUAL_TOL (a policy whose chain splits into
+    closed classes with unequal gains), the system is solved on the class
+    of s_ref instead and the other states are relaxed against its gain.
     """
     if s_ref is None:
         s_ref = model.ref_index
-    a = policy.actions.astype(bool)
-    n_rows = 3 if components else 1
-    costs = _stage_costs(model, lam, policy.actions)[:n_rows]
-
-    v = np.zeros((n_rows, model.num_mdp_states))
-    if v0 is not None:
-        v[0] = v0
-
-    def sweep(values):
-        ev_i = model.ev_idle(values)
-        ev_s = model.ev_success(values)
-        pv = np.where(a[None, :], model.p_f * ev_i + model.p_s * ev_s, ev_i)
-        return costs + pv
-
-    prev_tv = None
-    span_window = None
-    sweeps_done = 0
-    converged = False
-    for it in range(sweep_cap):
-        tv = sweep(v)
-        sweeps_done = it + 1
-        if prev_tv is not None:
-            spans = np.ptp(tv - prev_tv, axis=1)
-            if spans.max() < span_tol:
-                converged = True
-                gains = tv[:, s_ref].copy()
-                v = tv - gains[:, None]
-                break
-            if it % 500 == 499:
-                worst = spans.max()
-                if span_window is not None and worst > 0.99 * span_window:
-                    break  # stalled; hand off to the exact solver
-                span_window = worst
-        prev_tv = tv
-        v = tv - tv[:, s_ref][:, None]
-
-    if converged:
-        resid = _residual(model, a, costs[0], lam, gains[0], v[0])
-        return GainBias(
-            gain=float(gains[0]),
-            bias=v[0],
-            lam=lam,
-            j_component=float(gains[1]) if components else None,
-            f_component=float(gains[2]) if components else None,
-            residual=resid,
-            method="sweeps",
-            sweeps=sweeps_done,
-        )
-    return _evaluate_exact(model, policy, lam, s_ref, costs, sweeps_done)
-
-
-def _residual(model, a_bool, cost, lam, gain, bias) -> float:
-    ev_i = model.ev_idle(bias)
-    ev_s = model.ev_success(bias)
-    pv = np.where(a_bool, model.p_f * ev_i + model.p_s * ev_s, ev_i)
-    return float(np.abs(gain + bias - (cost + pv)).max())
-
-
-def _evaluate_exact(model, policy, lam, s_ref, costs, sweeps_done) -> GainBias:
-    """Pinned sparse solve of the evaluation equations (fallback route)."""
-    s_count = model.num_mdp_states
-    kernel = induced_kernel(model, policy.actions)
-    a_bool = policy.actions.astype(bool)
-
-    def solve_pinned(sub_kernel, cost_vec, ref_local):
-        import warnings
-
-        m = len(cost_vec)
-        eye = sp.identity(m, format="csr")
-        top = sp.hstack([eye - sub_kernel, np.ones((m, 1))], format="csr")
-        pin = sp.csr_matrix(
-            (np.ones(1), (np.zeros(1, dtype=int), np.array([ref_local]))),
-            shape=(1, m + 1),
-        )
-        full = sp.vstack([top, pin], format="csc")
-        rhs = np.concatenate([cost_vec, [0.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with np.errstate(all="ignore"):
-                sol = spla.spsolve(full, rhs)
-        return sol[:m], float(sol[m])
-
+    q = policy.actions.astype(float)
+    costs = _stage_costs(model, lam, policy.actions)
+    rhs = np.vstack([costs.T, np.zeros((1, 3))])
     try:
-        bias, gain = solve_pinned(kernel, costs[0], s_ref)
-        if not (np.all(np.isfinite(bias)) and np.isfinite(gain)):
-            raise RuntimeError("singular evaluation system")
-        resid = _residual(model, a_bool, costs[0], lam, gain, bias)
-        if resid > 1e-8:
-            raise RuntimeError(f"full-space residual {resid:.2e}")
-        comps = []
-        for r in range(1, costs.shape[0]):
-            _, g = solve_pinned(kernel, costs[r], s_ref)
-            comps.append(float(g))
-        return GainBias(
-            gain=float(gain),
-            bias=bias,
-            lam=lam,
-            j_component=comps[0] if comps else None,
-            f_component=comps[1] if len(comps) > 1 else None,
-            residual=resid,
-            method="sparse-solve",
-            sweeps=sweeps_done,
-        )
-    except (RuntimeError, spla.MatrixRankWarning, ValueError):
-        pass
+        matrix, lu = _pinned_lu(model, q, s_ref)
+    except RuntimeError:  # exactly singular
+        return _evaluate_on_class(model, q, lam, s_ref, costs)
+    sol = lu.solve(rhs)
+    resid = float(np.abs(matrix @ sol[:, 0] - rhs[:, 0]).max())
+    if not resid <= RESIDUAL_TOL:
+        return _evaluate_on_class(model, q, lam, s_ref, costs)
+    gain, j, f = sol[-1]
+    return GainBias(
+        gain=float(gain),
+        bias=np.ascontiguousarray(sol[:-1, 0]),
+        lam=lam,
+        j_component=float(j),
+        f_component=float(f),
+        residual=resid,
+        method="pinned-lu",
+    )
 
-    # The full system is singular or inconsistent: the policy's chain has
-    # several closed classes.  Solve exactly on the class of s_ref and relax
-    # the remaining states against that gain (best effort; their actions get
-    # corrected by subsequent improvement steps).
+
+def _evaluate_on_class(model, q, lam, s_ref, costs) -> GainBias:
+    """Evaluation of a policy whose chain has several closed classes.
+
+    Solves exactly on the class of s_ref and relaxes the remaining states
+    against that gain (best effort; their actions get corrected by
+    subsequent improvement steps).  The reported residual covers all states.
+    """
+    s_count = model.num_mdp_states
+    kernel = induced_kernel(model, q)
     reach = reachable_set(kernel, s_ref)
-    ref_local = int(np.searchsorted(reach, s_ref))
-    sub = kernel[reach][:, reach]
-    results = []
-    for r in range(costs.shape[0]):
-        try:
-            bias_r, gain_r = solve_pinned(sub, costs[r][reach], ref_local)
-            if not (np.all(np.isfinite(bias_r)) and np.isfinite(gain_r)):
-                raise RuntimeError
-        except (RuntimeError, ValueError):
-            m = reach.size
-            eye = sp.identity(m, format="csr")
-            top = sp.hstack([eye - sub, np.ones((m, 1))], format="csr")
-            pin = sp.csr_matrix(
-                (np.ones(1), (np.zeros(1, dtype=int), np.array([ref_local]))),
-                shape=(1, m + 1),
-            )
-            full = sp.vstack([top, pin], format="csr")
-            rhs = np.concatenate([costs[r][reach], [0.0]])
-            sol = spla.lsmr(full, rhs, atol=1e-14, btol=1e-14)[0]
-            bias_r, gain_r = sol[:m], float(sol[m])
-        results.append((bias_r, gain_r))
-
+    try:
+        _, lu = _pinned_lu(model, q, s_ref, reach)
+    except RuntimeError as exc:
+        raise ConvergenceFailure(f"class of the reference state is not unichain: {exc}") from exc
+    sol = lu.solve(np.vstack([costs[:, reach].T, np.zeros((1, 3))]))
+    if not np.all(np.isfinite(sol)):
+        raise ConvergenceFailure("class-restricted evaluation returned non-finite values")
+    gain, j, f = sol[-1]
     bias = np.zeros(s_count)
-    bias[reach] = results[0][0]
-    gain = results[0][1]
-    off = np.setdiff1d(np.arange(s_count), reach, assume_unique=False)
+    bias[reach] = sol[:-1, 0]
+    off = np.setdiff1d(np.arange(s_count), reach, assume_unique=True)
     if off.size:
-        # Bounded relaxation for states outside the reference class.
+        k_off = kernel[off]
         for _ in range(2000):
-            ev_i = model.ev_idle(bias)
-            ev_s = model.ev_success(bias)
-            pv = np.where(a_bool, model.p_f * ev_i + model.p_s * ev_s, ev_i)
-            new_off = costs[0][off] - gain + pv[off]
-            delta = np.abs(new_off - bias[off]).max() if off.size else 0.0
+            new_off = costs[0][off] - gain + k_off @ bias
+            delta = np.abs(new_off - bias[off]).max()
             bias[off] = new_off
             if delta < 1e-10:
                 break
-    resid_reach = _residual(model, a_bool, costs[0], lam, gain, bias)
-    comps = [g for _, g in results[1:]]
+    resid = float(np.abs(gain + bias - costs[0] - kernel @ bias).max())
     return GainBias(
         gain=float(gain),
         bias=bias,
         lam=lam,
-        j_component=comps[0] if comps else None,
-        f_component=comps[1] if len(comps) > 1 else None,
-        residual=resid_reach,
+        j_component=float(j),
+        f_component=float(f),
+        residual=resid,
         method="class-solve",
-        sweeps=sweeps_done,
     )
 
 
@@ -435,7 +386,6 @@ def spi_solve(
     model: SystemModel,
     lam: float,
     policy0: DeterministicPolicy | None = None,
-    v0: np.ndarray | None = None,
     max_iters: int = 500,
     tie_tol: float = TIE_TOL,
     s_ref: int | None = None,
@@ -443,8 +393,8 @@ def spi_solve(
     """Structured policy iteration from the never-transmit policy.
 
     Alternates exact evaluation with the structured improvement pass until
-    the policy is a fixed point.  Warm starts (policy0/v0) only change the
-    path, not the fixed point.
+    the policy is a fixed point, and returns the fixed point's evaluation.
+    A warm start (policy0) only changes the path, not the fixed point.
     """
     if lam < 0:
         raise DomainError("transmission price must be nonnegative")
@@ -453,21 +403,12 @@ def spi_solve(
         if policy0 is not None
         else np.zeros(model.num_mdp_states, dtype=np.uint8)
     )
-    v = v0
-    view = None
     for _ in range(max_iters):
-        gb = policy_evaluate(
-            model, DeterministicPolicy(actions), lam, s_ref=s_ref, v0=v,
-            components=False,
-        )
-        v = gb.bias
-        new_actions, view = _structured_improvement(model, lam, v, actions, tie_tol)
+        policy = DeterministicPolicy(actions)
+        gb = policy_evaluate(model, policy, lam, s_ref=s_ref)
+        new_actions, view = _structured_improvement(model, lam, gb.bias, actions, tie_tol)
         if np.array_equal(new_actions, actions):
-            policy = DeterministicPolicy(actions)
-            final = policy_evaluate(
-                model, policy, lam, s_ref=s_ref, v0=v, components=True
-            )
-            return policy, final, view
+            return policy, gb, view
         actions = new_actions
     raise NonConvergenceError(
         f"structured policy iteration did not settle within {max_iters} passes"
@@ -517,7 +458,7 @@ def rvi_solve(
     q1 = c1 + model.p_f * ev_i + model.p_s * ev_s
     actions = (q1 < q0 - TIE_TOL).astype(np.uint8)
     policy = DeterministicPolicy(actions)
-    comp = policy_evaluate(model, policy, lam, s_ref=s_ref, v0=v, components=True)
+    comp = policy_evaluate(model, policy, lam, s_ref=s_ref)
     gb = GainBias(
         gain=gain,
         bias=v,

@@ -79,7 +79,7 @@ def solved_main():
     return solve
 
 
-def small_random_model(rng):
+def small_random_model(rng, timing="immediate"):
     """Random irreducible model at desk scale for oracle comparisons."""
     n = int(rng.integers(2, 4))
     rows = rng.dirichlet(np.ones(n) * 0.8, size=n) + 2.0 * np.eye(n)
@@ -93,4 +93,4 @@ def small_random_model(rng):
     )
     d = rng.uniform(0.5, 2.0, size=(n, n))
     np.fill_diagonal(d, 0.0)
-    return build_model(chain, p_s, d, rho, 6, 6, "map")
+    return build_model(chain, p_s, d, rho, 6, 6, "map", timing=timing)

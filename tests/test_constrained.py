@@ -44,6 +44,16 @@ class TestIntersectionStep:
         lam, _ = intersection_step((1.0, 2.0, 0.6, 2.6), (9.0, 4.0, 0.2, 5.8))
         assert 1.0 <= lam <= 9.0
 
+    def test_breakpoint_at_bracket_end_stays_inside(self):
+        # The zero-price end is itself the breakpoint (delayed timing, MAP,
+        # f = 0.3): the two J values differ by one ulp, which alone would
+        # put the intersection at a negative price.
+        lo = (0.0, 0.9408522661490768, 0.31453886697557165, 0.9408522661490768)
+        hi = (0.5447273880031006, 0.9408522661490767, 0.2957953232361056, 1.1019800799590134)
+        lam, l_tilde = intersection_step(lo, hi)
+        assert lam == 0.0
+        assert l_tilde == lo[3]
+
 
 class TestBisection:
     def test_slack_budget_returns_zero(self, main_model):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import remest.evaluation
 from remest import (
+    ConvergenceFailure,
     DeterministicPolicy,
     DomainError,
     SupportMismatchError,
@@ -63,6 +65,27 @@ class TestSweepLambda:
     def test_rejects_unsorted_grid(self, main_model):
         with pytest.raises(DomainError):
             sweep_lambda(main_model, [1.0, 0.5])
+
+    def test_library_error_recorded_programming_error_raised(self, main_model, monkeypatch):
+        solve = remest.evaluation.spi_solve
+
+        def failing_at_one(model, lam, **kwargs):
+            if lam == 1.0:
+                raise ConvergenceFailure("stub failure at lam = 1")
+            return solve(model, lam, **kwargs)
+
+        monkeypatch.setattr(remest.evaluation, "spi_solve", failing_at_one)
+        outs = sweep_lambda(main_model, [0.5, 1.0, 2.0])
+        assert outs[1].diagnostics["error"] == "ConvergenceFailure: stub failure at lam = 1"
+        assert outs[1].policy is None
+        assert outs[0].policy is not None and outs[2].policy is not None
+
+        def broken(model, lam, **kwargs):
+            raise TypeError("stub programming error")
+
+        monkeypatch.setattr(remest.evaluation, "spi_solve", broken)
+        with pytest.raises(TypeError):
+            sweep_lambda(main_model, [0.5])
 
     def test_monotone_rates(self, main_sweep):
         fs = [o.F for o in main_sweep]

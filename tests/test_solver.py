@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from remest import (
@@ -17,8 +20,8 @@ from remest import (
     symmetric_chain,
     validate_chain,
 )
-from remest.solver import induced_kernel
-from conftest import MAIN_ROWS, main_age_function
+from remest.solver import induced_kernel, reachable_set
+from conftest import MAIN_ROWS, main_age_function, small_random_model
 
 
 def zero_cost_model():
@@ -42,7 +45,45 @@ def dense_stationary(model, policy):
     return mu / mu.sum()
 
 
+def dense_pinned_solution(model, policy, lam):
+    """Dense solve of [[I - K, 1], [e_ref, 0]] [h; g] = [c; 0] for the three
+    cost rows (lam-cost, error cost, transmit indicator), K built entry by
+    entry from the model's targets."""
+    s_count, n = model.idle_targets.shape
+    a = policy.actions.astype(bool)
+    kernel = np.zeros((s_count, s_count))
+    for s in range(s_count):
+        w = model.p_s if a[s] else 0.0
+        for k in range(n):
+            kernel[s, model.idle_targets[s, k]] += (1.0 - w) * model.source_rows[s, k]
+            kernel[s, model.succ_targets[s, k]] += w * model.source_rows[s, k]
+    system = np.zeros((s_count + 1, s_count + 1))
+    system[:s_count, :s_count] = np.eye(s_count) - kernel
+    system[:s_count, s_count] = 1.0
+    system[s_count, model.ref_index] = 1.0
+    err = np.where(a, model.tx_cost, model.idle_cost)
+    tx = a.astype(float)
+    rhs = np.zeros((s_count + 1, 3))
+    rhs[:s_count] = np.column_stack([err + lam * tx, err, tx])
+    return np.linalg.solve(system, rhs)
+
+
 class TestPolicyEvaluate:
+    @pytest.mark.parametrize("timing", ["immediate", "delayed"])
+    def test_matches_dense_pinned_solve(self, timing):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            model = small_random_model(rng, timing=timing)
+            lam = float(rng.uniform(0.5, 8.0))
+            for policy in (reactive_policy(model), spi_solve(model, lam)[0]):
+                gb = policy_evaluate(model, policy, lam)
+                sol = dense_pinned_solution(model, policy, lam)
+                assert gb.method == "pinned-lu"
+                assert abs(gb.gain - sol[-1, 0]) < 1e-10
+                assert abs(gb.j_component - sol[-1, 1]) < 1e-10
+                assert abs(gb.f_component - sol[-1, 2]) < 1e-10
+                assert np.abs(gb.bias - sol[:-1, 0]).max() < 1e-10
+
     def test_constant_cost_model(self):
         model = zero_cost_model()
         policy = DeterministicPolicy(np.ones(model.num_mdp_states, dtype=np.uint8))
@@ -81,10 +122,10 @@ class TestPolicyEvaluate:
 
     def test_multichain_never_transmit_falls_back(self, zoh_model):
         # Never transmitting freezes the content coordinate: the hold-last-
-        # value model splits into classes with unequal gains and the sweeps
-        # cannot settle; the class-restricted solve must still answer.
+        # value model splits into classes with unequal gains and the pinned
+        # system is singular; the class-restricted solve must still answer.
         policy = never_transmit_policy(zoh_model)
-        gb = policy_evaluate(zoh_model, policy, lam=0.0, sweep_cap=3000)
+        gb = policy_evaluate(zoh_model, policy, lam=0.0)
         assert gb.method == "class-solve"
         assert np.isfinite(gb.gain)
 
@@ -95,6 +136,45 @@ class TestPolicyEvaluate:
         met = stationary_metrics(main_model, policy)
         assert abs(gb.f_component - met.F) < 1e-8
         assert abs(gb.j_component - met.J) < 1e-8
+
+
+class TestStationaryMetrics:
+    def test_no_mass_off_reachable_class(self, main_model, zoh_model):
+        # Only part of the state space is reachable from the reference state:
+        # never transmitting freezes the content coordinate, and a solved
+        # policy leaves some (content, age) pairs unvisited.
+        cases = [
+            (zoh_model, never_transmit_policy(zoh_model)),
+            (main_model, never_transmit_policy(main_model)),
+            (main_model, spi_solve(main_model, 5.0)[0]),
+        ]
+        for model, policy in cases:
+            met = stationary_metrics(model, policy)
+            reach = reachable_set(induced_kernel(model, policy.actions), model.ref_index)
+            assert np.array_equal(met.reachable, reach)
+            off = np.setdiff1d(np.arange(model.num_mdp_states), reach)
+            assert off.size > 0
+            assert np.all(met.mu[off] == 0.0)
+            assert abs(met.mu.sum() - 1.0) < 1e-12
+
+
+# sha256 of the action tables of spi_solve at these prices, in order,
+# recorded before policy evaluation moved from relative sweeps to the
+# pinned LU; the solver must keep returning the same policies.
+FINGERPRINT_PRICES = (0.5, 2.0, 5.0, 10.0)
+ACTION_FINGERPRINTS = {
+    "main_model": "19a4fe11721377b47cc3105c5dc5f9dfd344131a065ea6a632cf3c2a0097f9a5",
+    "paper_model": "b6d3613e20b5c30a2ae3b6d9a995bd2af1c8c91908d22b4a57797ca5231212da",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(ACTION_FINGERPRINTS))
+def test_action_table_fingerprint(fixture, request):
+    model = request.getfixturevalue(fixture)
+    digest = hashlib.sha256()
+    for lam in FINGERPRINT_PRICES:
+        digest.update(spi_solve(model, lam)[0].actions.tobytes())
+    assert digest.hexdigest() == ACTION_FINGERPRINTS[fixture]
 
 
 class TestSpiSolve:
@@ -121,9 +201,7 @@ class TestSpiSolve:
     def test_warm_start_reaches_same_fixed_point(self, main_model):
         cold, gb_cold, _ = spi_solve(main_model, 3.0)
         warm_seed, gb_seed, _ = spi_solve(main_model, 2.5)
-        warm, gb_warm, _ = spi_solve(
-            main_model, 3.0, policy0=warm_seed, v0=gb_seed.bias
-        )
+        warm, gb_warm, _ = spi_solve(main_model, 3.0, policy0=warm_seed)
         assert cold.same_as(warm)
         assert abs(gb_cold.gain - gb_warm.gain) < 1e-9
 
