@@ -287,10 +287,9 @@ def cmd_compare_estimators(config: SystemConfig, args) -> tuple:
 def cmd_simulate(config: SystemConfig, args) -> tuple:
     model = config.build_model()
     sol = solve_cmdp(model, config.f_max, config.lambda_max, config.tolerances.mixture)
-    met = stationary_metrics(model, sol.policy)
     report = simulate(model, sol.policy, int(args.horizon), config.seed)
     row = {"config_digest": config.digest(), "kind": sol.kind,
-           "stationary_F": met.F, "stationary_J": met.J}
+           "stationary_F": sol.F, "stationary_J": sol.J}
     row.update(report.as_dict())
     return [row], list(row.keys()), "simulate"
 
@@ -303,7 +302,7 @@ def cmd_selftest(config: SystemConfig, args) -> tuple:
     def record(name, passed, detail=""):
         checks.append({"check": name, "passed": bool(passed), "detail": detail,
                        "config_digest": digest})
-        print(f"[{'PASS' if passed else 'FAIL'}] {name} {detail}")
+        print(f"[{'PASS' if passed else 'FAIL'}] {name} {detail}", file=sys.stderr)
 
     # Chain algebra: closed form vs repeated powers on the symmetric family.
     worst = 0.0
@@ -357,7 +356,7 @@ def cmd_selftest(config: SystemConfig, args) -> tuple:
     record("spi-vs-rvi-gain@lam=5", gap <= 1e-6, f"gap={gap:.2e}")
 
     n_fail = sum(1 for c in checks if not c["passed"])
-    print(f"selftest: {len(checks) - n_fail}/{len(checks)} checks passed")
+    print(f"selftest: {len(checks) - n_fail}/{len(checks)} checks passed", file=sys.stderr)
     return checks, ["check", "passed", "detail", "config_digest"], "selftest"
 
 

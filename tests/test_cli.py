@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from remest import SystemConfig, ConfigError
+from remest import SystemConfig, ConfigError, solve_cmdp
 from remest.cli import emit_results, main
 
 BASE_DOC = {
@@ -143,6 +143,10 @@ class TestCommands:
         rec = json.loads(out.read_text())["records"][0]
         assert rec["horizon"] == 20000
         assert 0.0 <= rec["empirical_F"] <= 1.0
+        cfg = SystemConfig.from_file(config_path)
+        sol = solve_cmdp(cfg.build_model(), cfg.f_max, cfg.lambda_max, cfg.tolerances.mixture)
+        assert rec["stationary_F"] == sol.F
+        assert rec["stationary_J"] == sol.J
 
     def test_truncation_command(self, config_path, tmp_path):
         out = tmp_path / "kl.csv"
@@ -170,6 +174,14 @@ class TestCommands:
     def test_selftest_passes(self, config_path, tmp_path):
         out = tmp_path / "self.csv"
         assert main(["selftest", "--config", config_path, "--out", str(out)]) == 0
+
+    def test_selftest_stdout_is_result_data(self, config_path, capsys):
+        assert main(["selftest", "--config", config_path, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["meta"]["experiment"] == "selftest"
+        assert all(rec["passed"] for rec in doc["records"])
+        assert "[PASS]" in captured.err
 
 
 class TestEmitResults:

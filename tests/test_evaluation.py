@@ -19,6 +19,60 @@ from remest import (
 )
 from conftest import MAIN_ROWS, main_age_function
 
+# SimReport.as_dict() of the simulator as it stood before the slots ran in
+# blocks, one slot at a time on numpy scalars.  The block simulator must give
+# every field bit for bit.  Cases: (model fixture, policy, horizon, seed).
+PINNED_SIM = [
+    # f = 0.1 mixture, immediate timing; 200 017 slots span several blocks
+    # and end in a partial one.
+    ("main_model", "mixture", 200_017, 7, {
+        "horizon": 200000, "seed": 7, "empirical_F": 0.100175,
+        "empirical_J_model": 1.2520142230171296,
+        "empirical_J_strict": 1.1550076417168444,
+        "se_F": 0.0007804449934204858, "se_J_model": 0.007702008162439411,
+        "se_J_strict": 0.006576780055589767,
+        "channel_success_rate": 0.7008235587721487,
+        "transmissions": 20035, "n_batches": 50,
+    }),
+    # f = 0.1 mixture, delayed timing.
+    ("paper_model", "mixture", 50_000, 123, {
+        "horizon": 50000, "seed": 123, "empirical_F": 0.0977,
+        "empirical_J_model": 1.5881206313066374,
+        "empirical_J_strict": 1.5881206313066374,
+        "se_F": 0.0014038576589279314, "se_J_model": 0.018454664508099627,
+        "se_J_strict": 0.018454664508099627,
+        "channel_success_rate": 0.7064483111566019,
+        "transmissions": 4885, "n_batches": 50,
+    }),
+    # Deterministic policy: no coin stream is drawn.
+    ("main_model", "reactive", 10**4, 20240901, {
+        "horizon": 10000, "seed": 20240901, "empirical_F": 0.353,
+        "empirical_J_model": 0.30374114672008534,
+        "empirical_J_strict": 0.2972735441214497,
+        "se_F": 0.006343886660335577, "se_J_model": 0.01396303905737167,
+        "se_J_strict": 0.01321172711206118,
+        "channel_success_rate": 0.6946175637393768,
+        "transmissions": 3530, "n_batches": 50,
+    }),
+    # delta_max = 2 under the delayed timing: both error ages follow the
+    # pair-reset rule, so they differ only where the strict age passes the
+    # truncation and its cost reads rho beyond model.rho_values.
+    ("short_delta_model", "reactive", 50_000, 7, {
+        "horizon": 50000, "seed": 7, "empirical_F": 0.34542,
+        "empirical_J_model": 0.9071361418930133,
+        "empirical_J_strict": 0.9469996313890572,
+        "se_F": 0.002777473525287589, "se_J_model": 0.00751411188241084,
+        "se_J_strict": 0.00903374683638311,
+        "channel_success_rate": 0.698164553297435,
+        "transmissions": 17271, "n_batches": 50,
+    }),
+]
+
+
+@pytest.fixture(scope="module")
+def short_delta_model(main_config):
+    return main_config.with_overrides(delta_max=2).build_model(timing="delayed")
+
 
 class TestStationaryMetrics:
     def test_always_transmit_perfect_channel(self):
@@ -178,6 +232,18 @@ class TestSimulate:
         rep = simulate(main_model, reactive_policy(main_model), 10**4, 3)
         assert rep.empirical_J_model >= 0.0
         assert rep.empirical_J_strict >= 0.0
+
+    @pytest.mark.parametrize("model_name, kind, horizon, seed, expected", PINNED_SIM)
+    def test_report_pinned(self, request, solved_main, model_name, kind, horizon, seed, expected):
+        model = request.getfixturevalue(model_name)
+        if kind == "mixture":
+            policy = solved_main(model, 0.1).policy
+        else:
+            policy = reactive_policy(model)
+        rep = simulate(model, policy, horizon, seed)
+        assert rep.as_dict() == expected
+        if model_name == "short_delta_model":
+            assert rep.empirical_J_strict != rep.empirical_J_model
 
     def test_mixture_uses_fresh_coin(self, main_model, solved_main):
         sol = solved_main(main_model, 0.1)
