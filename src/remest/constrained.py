@@ -6,8 +6,8 @@ The price search intersects tangents of the piecewise-linear concave
 relaxed-cost curve (slope = transmission frequency), which converges in at
 most one step per linear segment and independently of any tolerance.  A
 plain bisection on the frequency is kept as the baseline.  All frequency
-and cost numbers inside the search come from exact stationary evaluation of
-the solved policies, never from simulation.
+and cost numbers inside the search come from the exact evaluation of the
+solved policies, never from simulation.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ def intersection_step(point_minus, point_plus):
 
 
 class _PointSolver:
-    """SPI + stationary metrics per price, with warm starts and caching."""
+    """SPI per price, with warm starts and caching.  J and F are read from the
+    solved policy's ``GainBias``, not from a second (stationary) solve."""
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -141,10 +142,9 @@ class _PointSolver:
         lam = float(lam)
         if lam in self.cache:
             return self.cache[lam]
-        policy, _, view = spi_solve(self.model, lam, policy0=self._warm_policy)
-        metrics = stationary_metrics(self.model, policy)
-        point = SearchPoint(lam=lam, J=metrics.J, F=metrics.F, L=metrics.J + lam * metrics.F)
-        entry = (policy, view, metrics, point)
+        policy, gb, view = spi_solve(self.model, lam, policy0=self._warm_policy)
+        j, f = gb.j_component, gb.f_component
+        entry = (policy, view, gb, SearchPoint(lam=lam, J=j, F=f, L=j + lam * f))
         self.cache[lam] = entry
         self._warm_policy = policy
         return entry
@@ -297,12 +297,12 @@ def solve_cmdp(
     ps = _PointSolver(model)
     trace = SearchTrace(method="intersection")
 
-    pol0, view0, met0, p0 = ps.solve(0.0)
+    pol0, view0, _, p0 = ps.solve(0.0)
     if p0.F <= f_max:
         trace.record(p0, (0.0, 0.0))
         return ConstrainedSolution(
             kind="deterministic", lam_star=0.0, policy=pol0,
-            F=met0.F, J=met0.J, trace=trace, view_plus=view0,
+            F=p0.F, J=p0.J, trace=trace, view_plus=view0,
         )
 
     _, _, _, pmax = ps.solve(lambda_max)
@@ -319,14 +319,14 @@ def solve_cmdp(
                 f"bracket frequencies [{hi.F:.6f}, {lo.F:.6f}] no longer straddle {f_max}"
             )
         lam_next, l_tilde = intersection_step(lo.as_tuple(), hi.as_tuple())
-        pol_n, view_n, met_n, pt = ps.solve(lam_next)
+        pol_n, view_n, _, pt = ps.solve(lam_next)
         trace.record(pt, (lo.lam, hi.lam))
         if abs(pt.F - f_max) <= F_MATCH_TOL:
             # The budget sits on this segment: the solved policy is optimal
             # with equality, no mixing needed.
             return ConstrainedSolution(
                 kind="deterministic", lam_star=lam_next, policy=pol_n,
-                F=met_n.F, J=met_n.J, trace=trace, view_plus=view_n,
+                F=pt.F, J=pt.J, trace=trace, view_plus=view_n,
             )
         if abs(pt.L - l_tilde) <= L_MATCH_RTOL * max(1.0, abs(pt.L)):
             lam_star = lam_next
@@ -341,20 +341,20 @@ def solve_cmdp(
     eps = max(epsilon_mix, epsilon_mix * lam_star)
     lam_minus = max(lam_star - eps, 0.0)
     lam_plus = lam_star + eps
-    pol_m, view_m, met_m, _ = ps.solve(lam_minus)
-    pol_p, view_p, met_p, _ = ps.solve(lam_plus)
+    pol_m, view_m, _, pt_m = ps.solve(lam_minus)
+    pol_p, view_p, _, pt_p = ps.solve(lam_plus)
     trace.extras["epsilon"] = eps
-    if abs(met_p.F - f_max) <= F_MATCH_TOL:
+    if abs(pt_p.F - f_max) <= F_MATCH_TOL:
         return ConstrainedSolution(
             kind="deterministic", lam_star=lam_star, policy=pol_p,
-            F=met_p.F, J=met_p.J, trace=trace, view_plus=view_p,
+            F=pt_p.F, J=pt_p.J, trace=trace, view_plus=view_p,
         )
-    if abs(met_m.F - f_max) <= F_MATCH_TOL:
+    if abs(pt_m.F - f_max) <= F_MATCH_TOL:
         return ConstrainedSolution(
             kind="deterministic", lam_star=lam_star, policy=pol_m,
-            F=met_m.F, J=met_m.J, trace=trace, view_plus=view_m,
+            F=pt_m.F, J=pt_m.J, trace=trace, view_plus=view_m,
         )
-    mix = build_mixture(model, pol_m, pol_p, f_max, f_minus=met_m.F, f_plus=met_p.F)
+    mix = build_mixture(model, pol_m, pol_p, f_max, f_minus=pt_m.F, f_plus=pt_p.F)
     trace.extras["p_linear"] = mix.p_linear
     trace.extras["p_recalibrated"] = mix.p
     met = stationary_metrics(model, mix)

@@ -66,13 +66,13 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     ref = model.ref_index
     reach = reachable_set(induced_kernel(model, tx_rate), ref)
     try:
-        matrix, lu = _pinned_lu(model, tx_rate, ref, reach)
+        factor = _pinned_lu(model, tx_rate, ref, reach)
     except RuntimeError as exc:
         raise ConvergenceFailure(f"stationary law solve failed: {exc}") from exc
     rhs = np.zeros(reach.size + 1)
     rhs[-1] = 1.0
-    sol = lu.solve(rhs, trans="T")
-    resid = np.abs(matrix.T @ sol - rhs).max()
+    sol = factor.solve(rhs, trans="T")
+    resid = np.abs(factor.matrix.T @ sol - rhs[factor.order]).max()
     if not resid <= STATIONARY_TOL:
         raise ConvergenceFailure(f"stationary law balance residual {resid:.2e}")
     mu = np.zeros(model.num_mdp_states)
@@ -120,7 +120,6 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     for lam in grid:
         try:
             policy, gb, view = spi_solve(model, lam, policy0=policy0)
-            metrics = stationary_metrics(model, policy)
         except RemestError as exc:
             outcomes.append(
                 SolveOutcome(
@@ -134,8 +133,8 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
             SolveOutcome(
                 lam=lam,
                 gain=gb.gain,
-                J=metrics.J,
-                F=metrics.F,
+                J=gb.j_component,
+                F=gb.f_component,
                 policy=policy,
                 view=view,
                 gainbias=gb,

@@ -28,6 +28,7 @@ the pair changes and to 0 when the estimate is right.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -265,6 +266,14 @@ class SystemModel:
         nu = self.chain.stationary()
         xstar = nu.argmax()
         self.ref_index = int(self.encode(xstar, xstar, tm, 0))
+
+    @functools.cached_property
+    def pinned_order(self) -> np.ndarray:
+        """Column order of every pinned system of this model, made on the first
+        factorization (``solver.fill_order``) rather than at build time."""
+        from .solver import fill_order  # local: solver imports this module
+
+        return fill_order(self)
 
     def encode(self, x, z, theta, delta):
         """Dense index of (x, z, theta, delta); accepts arrays."""

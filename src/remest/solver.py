@@ -13,7 +13,13 @@ Policy evaluation and the stationary law (``evaluation.stationary_metrics``)
 share one direct solve: a sparse LU of the pinned bordered system
 [[I - K(q), 1], [e_ref, 0]], where K(q) is the kernel induced by a per-state
 transmit probability q and the bias is pinned to zero at the model's
-reference state.
+reference state.  Every such system of one model has its nonzeros inside
+the same pattern, so one fill-reducing column order is computed per model,
+on the first factorization, and every factor after it reuses that order
+instead of ordering its own matrix.  The same pinned solve yields J and F
+of the policy, so SPI's callers read them from its ``GainBias``.
+The improvement pass works on the (triples, delta_max + 1) reshape of the
+state space, one row per (x, z, theta) triple, with no Python loop.
 """
 
 from __future__ import annotations
@@ -191,40 +197,79 @@ def _kernel_entries(model: SystemModel, tx_prob: np.ndarray):
     return rows[keep], cols[keep], probs[keep]
 
 
+def _bordered(rows, cols, probs, s_ref: int, pos: np.ndarray) -> sp.csc_matrix:
+    """M = [[I - K, 1], [e_ref, 0]] from K's triplets, column c stored at pos[c]."""
+    m = pos.size - 1
+    diag = np.arange(m)
+    return sp.csc_matrix(
+        (
+            np.concatenate([-probs, np.ones(2 * m + 1)]),
+            (
+                np.concatenate([rows, diag, diag, [m]]),
+                pos[np.concatenate([cols, diag, np.full(m, m), [s_ref]])],
+            ),
+        ),
+        shape=(m + 1, m + 1),
+    )
+
+
+def fill_order(model: SystemModel) -> np.ndarray:
+    """COLAMD column order of the pinned system over the union pattern of
+    every switching policy and mixture (``SystemModel.pinned_order``)."""
+    rows, cols, probs = _kernel_entries(model, 0.5 * ~model.idle_pinned)
+    identity = np.arange(model.num_mdp_states + 1)
+    matrix = _bordered(rows, cols, probs, model.ref_index, identity)
+    return np.argsort(spla.splu(matrix, relax=1, panel_size=1).perm_c)
+
+
+@dataclass
+class _PinnedFactor:
+    """LU of M[:, order] (``matrix``); ``solve`` answers M x = rhs, or
+    M^T x = rhs with trans="T", in M's own unknowns."""
+
+    matrix: sp.csc_matrix
+    lu: spla.SuperLU
+    order: np.ndarray
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        if trans == "T":
+            return self.lu.solve(rhs[self.order], trans="T")
+        y = self.lu.solve(rhs)
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
 def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, s_ref: int, states=None):
     """Sparse LU of the pinned system M = [[I - K(q), 1], [e_ref, 0]].
 
     The unknowns are (bias, gain): M [h; g] = [c; 0] is the gain/bias system
     with h[s_ref] = 0, and M^T [mu; 0] = [0; 1] is the stationary law.
     ``states``, when given, is a closed set of the chain containing s_ref and
-    the system is restricted to it.  Returns (M, lu); raises RuntimeError
-    when M is exactly singular.
+    the system is restricted to it.  Columns are factored in the model's
+    ``pinned_order`` (restricted to ``states``, keeping its relative order),
+    so SuperLU skips its own ordering.  Returns a ``_PinnedFactor``; raises
+    RuntimeError when M is exactly singular.
     """
     rows, cols, probs = _kernel_entries(model, tx_prob)
-    m = model.num_mdp_states
+    order = model.pinned_order
     if states is not None:
-        local = np.full(m, -1, dtype=np.int32)
+        m = model.num_mdp_states
+        local = np.full(m + 1, -1, dtype=np.int32)
         local[states] = np.arange(states.size)
+        local[m] = states.size
         keep = local[rows] >= 0
         rows, cols, probs = local[rows[keep]], local[cols[keep]], probs[keep]
         s_ref = int(local[s_ref])
-        m = states.size
-    diag = np.arange(m)
-    matrix = sp.csc_matrix(
-        (
-            np.concatenate([-probs, np.ones(2 * m + 1)]),
-            (
-                np.concatenate([rows, diag, diag, [m]]),
-                np.concatenate([cols, diag, np.full(m, m), [s_ref]]),
-            ),
-        ),
-        shape=(m + 1, m + 1),
-    )
+        order = local[order]
+        order = order[order >= 0]
+    matrix = _bordered(rows, cols, probs, s_ref, np.argsort(order))
     del rows, cols, probs  # the process's peak memory is set inside splu
     # relax = panel_size = 1 keep SuperLU's working memory down: at
     # S = 24 025 one factor raises the peak by about 18 MiB against 25 MiB
     # with the defaults, and a price sweep there runs no slower.
-    return matrix, spla.splu(matrix, relax=1, panel_size=1)
+    lu = spla.splu(matrix, permc_spec="NATURAL", relax=1, panel_size=1)
+    return _PinnedFactor(matrix, lu, order)
 
 
 def reachable_set(kernel: sp.csr_matrix, start: int) -> np.ndarray:
@@ -265,11 +310,11 @@ def policy_evaluate(
     costs = _stage_costs(model, lam, policy.actions)
     rhs = np.vstack([costs.T, np.zeros((1, 3))])
     try:
-        matrix, lu = _pinned_lu(model, q, s_ref)
+        factor = _pinned_lu(model, q, s_ref)
     except RuntimeError:  # exactly singular
         return _evaluate_on_class(model, q, lam, s_ref, costs)
-    sol = lu.solve(rhs)
-    resid = float(np.abs(matrix @ sol[:, 0] - rhs[:, 0]).max())
+    sol = factor.solve(rhs)
+    resid = float(np.abs(factor.matrix @ sol[factor.order, 0] - rhs[:, 0]).max())
     if not resid <= RESIDUAL_TOL:
         return _evaluate_on_class(model, q, lam, s_ref, costs)
     gain, j, f = sol[-1]
@@ -295,10 +340,10 @@ def _evaluate_on_class(model, q, lam, s_ref, costs) -> GainBias:
     kernel = induced_kernel(model, q)
     reach = reachable_set(kernel, s_ref)
     try:
-        _, lu = _pinned_lu(model, q, s_ref, reach)
+        factor = _pinned_lu(model, q, s_ref, reach)
     except RuntimeError as exc:
         raise ConvergenceFailure(f"class of the reference state is not unichain: {exc}") from exc
-    sol = lu.solve(np.vstack([costs[:, reach].T, np.zeros((1, 3))]))
+    sol = factor.solve(np.vstack([costs[:, reach].T, np.zeros((1, 3))]))
     if not np.all(np.isfinite(sol)):
         raise ConvergenceFailure("class-restricted evaluation returned non-finite values")
     gain, j, f = sol[-1]
@@ -331,55 +376,31 @@ def _structured_improvement(
     bias: np.ndarray,
     incumbent: np.ndarray,
     tie_tol: float = TIE_TOL,
-):
+) -> np.ndarray:
     """One structured improvement pass: ascend the error-age axis per triple,
     switch to transmit at the first improving age, keep transmit above it.
 
-    Ties fall back to the incumbent action to prevent policy cycling.
-    Returns the new action table and its threshold view.
+    Ties fall back to the incumbent action to prevent policy cycling.  Each
+    (x, z, theta) triple is one row of the (triples, delta_max + 1) reshape;
+    returns the new action table.
     """
     ev_i = model.ev_idle(bias)
     ev_s = model.ev_success(bias)
     q0 = model.idle_cost + ev_i
     q1 = lam + model.tx_cost + model.p_f * ev_i + model.p_s * ev_s
-    d = q1 - q0
-
-    actions = np.zeros(model.num_mdp_states, dtype=np.uint8)
-    thresholds = {}
     dm = model.delta_max
-    for x, z, theta in model.iter_triples():
-        sl = model.triple_slice(x, z, theta)
-        base = sl.start
-        if model.idle_pinned[base]:
-            continue
-        seg = d[sl]
-        inc = incumbent[sl]
-        if model.case_same_error[base]:
-            prefer = np.where(
-                seg < -tie_tol, 1, np.where(seg > tie_tol, 0, inc)
-            )
-            ones = np.flatnonzero(prefer[:dm] == 1)
-            if ones.size:
-                dhat = int(ones[0])
-                actions[base + dhat : base + dm + 1] = 1
-                thresholds[(x, z, theta)] = dhat + model.threshold_offset
-            else:
-                thresholds[(x, z, theta)] = INF
-        else:
-            # The impending error age is 1 for every slot of this triple, so
-            # the whole triple shares one decision.
-            if seg[0] < -tie_tol:
-                take = 1
-            elif seg[0] > tie_tol:
-                take = 0
-            else:
-                take = int(inc[0])
-            if take:
-                actions[sl] = 1
-                thresholds[(x, z, theta)] = 1
-            else:
-                thresholds[(x, z, theta)] = INF
-    return actions, ThresholdView(thresholds=thresholds, delta_max=dm)
+    d = (q1 - q0).reshape(-1, dm + 1)
+    inc = incumbent.reshape(d.shape) == 1
+    prefer = np.where(d < -tie_tol, True, np.where(d > tie_tol, False, inc))
+    # Same-error triples transmit from the first preferred age below the
+    # truncation corner on; the corner alone never sets the threshold.
+    ramp = np.logical_or.accumulate(prefer[:, np.minimum(np.arange(dm + 1), dm - 1)], axis=1)
+    # Fresh-error triples face impending error age 1 in every slot, so the
+    # whole triple shares the decision of its first slot.
+    same = model.case_same_error.reshape(d.shape)[:, :1]
+    free = ~model.idle_pinned.reshape(d.shape)[:, :1]
+    actions = np.where(same, ramp, prefer[:, :1]) & free
+    return actions.astype(np.uint8).ravel()
 
 
 def spi_solve(
@@ -393,7 +414,7 @@ def spi_solve(
     """Structured policy iteration from the never-transmit policy.
 
     Alternates exact evaluation with the structured improvement pass until
-    the policy is a fixed point, and returns the fixed point's evaluation.
+    the policy is a fixed point, and returns it with its evaluation and view.
     A warm start (policy0) only changes the path, not the fixed point.
     """
     if lam < 0:
@@ -406,9 +427,9 @@ def spi_solve(
     for _ in range(max_iters):
         policy = DeterministicPolicy(actions)
         gb = policy_evaluate(model, policy, lam, s_ref=s_ref)
-        new_actions, view = _structured_improvement(model, lam, gb.bias, actions, tie_tol)
+        new_actions = _structured_improvement(model, lam, gb.bias, actions, tie_tol)
         if np.array_equal(new_actions, actions):
-            return policy, gb, view
+            return policy, gb, ThresholdView.from_policy(model, policy)
         actions = new_actions
     raise NonConvergenceError(
         f"structured policy iteration did not settle within {max_iters} passes"

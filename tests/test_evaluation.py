@@ -17,7 +17,7 @@ from remest import (
     symmetric_chain,
     validate_chain,
 )
-from conftest import MAIN_ROWS, main_age_function
+from conftest import LAMBDA_GRID, MAIN_ROWS, main_age_function
 
 # SimReport.as_dict() of the simulator as it stood before the slots ran in
 # blocks, one slot at a time on numpy scalars.  The block simulator must give
@@ -140,6 +140,16 @@ class TestSweepLambda:
         monkeypatch.setattr(remest.evaluation, "spi_solve", broken)
         with pytest.raises(TypeError):
             sweep_lambda(main_model, [0.5])
+
+    @pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
+    def test_rates_match_stationary_metrics(self, fixture, request):
+        # The sweep reads J and F from the evaluation's extra right-hand
+        # sides; the stationary law of the same policy must give them too.
+        model = request.getfixturevalue(fixture)
+        for o in sweep_lambda(model, LAMBDA_GRID[::4]):
+            met = stationary_metrics(model, o.policy)
+            assert abs(o.J - met.J) < 1e-10
+            assert abs(o.F - met.F) < 1e-10
 
     def test_monotone_rates(self, main_sweep):
         fs = [o.F for o in main_sweep]

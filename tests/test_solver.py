@@ -33,14 +33,15 @@ def zero_cost_model():
 
 
 def dense_stationary(model, policy):
-    """Brute-force oracle: dense left-eigsolve of the induced kernel."""
+    """Brute-force oracle: dense solve of the balance equations of the
+    induced kernel, one of them replaced by the normalisation."""
     kernel = induced_kernel(model, policy.actions).toarray()
     n = kernel.shape[0]
     a = kernel.T - np.eye(n)
     a[-1] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    mu = np.linalg.lstsq(a, b, rcond=None)[0]
+    mu = np.linalg.solve(a, b)
     mu = np.clip(mu, 0.0, None)
     return mu / mu.sum()
 
@@ -156,6 +157,69 @@ class TestStationaryMetrics:
             assert off.size > 0
             assert np.all(met.mu[off] == 0.0)
             assert abs(met.mu.sum() - 1.0) < 1e-12
+
+
+def dense_class_solution(model, tx_prob, lam=0.0):
+    """Dense oracle on the class reachable from the reference state: the
+    pinned gain/bias solution for the three cost rows, and the stationary
+    law."""
+    kernel = induced_kernel(model, tx_prob)
+    reach = reachable_set(kernel, model.ref_index)
+    k = kernel.toarray()[np.ix_(reach, reach)]
+    m = reach.size
+    system = np.zeros((m + 1, m + 1))
+    system[:m, :m] = np.eye(m) - k
+    system[:m, m] = 1.0
+    system[m, np.searchsorted(reach, model.ref_index)] = 1.0
+    a = tx_prob[reach].astype(bool)
+    err = np.where(a, model.tx_cost[reach], model.idle_cost[reach])
+    rhs = np.zeros((m + 1, 3))
+    rhs[:m] = np.column_stack([err + lam * a, err, a.astype(float)])
+    balance = k.T - np.eye(m)
+    balance[-1] = 1.0
+    e_last = np.zeros(m)
+    e_last[-1] = 1.0
+    return reach, np.linalg.solve(system, rhs), np.linalg.solve(balance, e_last)
+
+
+class TestPinnedOrder:
+    def test_made_on_first_factor_and_reused(self):
+        model = small_random_model(np.random.default_rng(3))
+        assert "pinned_order" not in vars(model)
+        policy_evaluate(model, reactive_policy(model), 2.0)
+        order = vars(model)["pinned_order"]
+        assert np.array_equal(np.sort(order), np.arange(model.num_mdp_states + 1))
+        policy_evaluate(model, never_transmit_policy(model), 2.0)
+        spi_solve(model, 2.0)
+        assert vars(model)["pinned_order"] is order
+
+    @pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
+    def test_mixture_stationary_law_matches_dense(self, fixture, request, solved_main):
+        model = request.getfixturevalue(fixture)
+        mix = solved_main(model, 0.1).policy
+        assert mix.p > 0.0
+        tx_rate = mix.p * mix.policy_minus.actions + (1.0 - mix.p) * mix.policy_plus.actions
+        met = stationary_metrics(model, mix)
+        reach, _, mu = dense_class_solution(model, tx_rate)
+        assert np.array_equal(met.reachable, reach)
+        assert np.abs(met.mu[reach] - mu).max() < 1e-10
+        assert abs(met.F - mu @ tx_rate[reach]) < 1e-10
+
+    @pytest.mark.parametrize("fixture", ["zoh_model", "paper_zoh_model"])
+    def test_class_solve_matches_dense(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        policy = never_transmit_policy(model)
+        gb = policy_evaluate(model, policy, 1.5)
+        assert gb.method == "class-solve"
+        reach, sol, _ = dense_class_solution(model, policy.actions.astype(float), 1.5)
+        assert reach.size < model.num_mdp_states
+        assert abs(gb.gain - sol[-1, 0]) < 1e-10
+        assert abs(gb.j_component - sol[-1, 1]) < 1e-10
+        assert abs(gb.f_component - sol[-1, 2]) < 1e-10
+        # The bias on this class reaches about 3e5, so it is compared
+        # relative to its largest entry.
+        scale = max(1.0, np.abs(sol[:-1, 0]).max())
+        assert np.abs(gb.bias[reach] - sol[:-1, 0]).max() < 1e-10 * scale
 
 
 # sha256 of the action tables of spi_solve at these prices, in order,
