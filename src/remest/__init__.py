@@ -28,7 +28,6 @@ from .errors import (
     InfeasiblePairError,
     NegativeEntryError,
     NoProgressError,
-    NonConvergenceError,
     ReducibleChainError,
     RemestError,
     RowSumError,
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .estimator import (
     EstimateTable,
-    TieRule,
     build_estimate_table,
     map_estimate,
     steady_state_age,

@@ -23,7 +23,6 @@ from .constrained import bisection_solve, solve_cmdp
 from .errors import (
     ConfigError,
     ConvergenceFailure,
-    NonConvergenceError,
     RemestError,
     ValidationError,
 )
@@ -449,7 +448,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         _emit_error(exc)
         return EXIT_CONFIG
-    except (ConvergenceFailure, NonConvergenceError) as exc:
+    except ConvergenceFailure as exc:
         _emit_error(exc)
         return EXIT_SOLVER
     except RemestError as exc:

@@ -30,6 +30,7 @@ from .solver import DeterministicPolicy, ThresholdView, spi_solve
 
 F_MATCH_TOL = 1e-6
 L_MATCH_RTOL = 1e-8
+SEARCH_MAX_STEPS = 100
 
 
 @dataclass
@@ -155,7 +156,6 @@ def bisection_solve(
     f_max: float,
     lambda_max: float,
     epsilon_tol: float,
-    point_solver: _PointSolver | None = None,
 ):
     """Baseline bisection on the transmission frequency.
 
@@ -164,7 +164,7 @@ def bisection_solve(
     """
     if not (0.0 < f_max <= 1.0):
         raise DomainError(f"f_max {f_max} outside (0, 1]")
-    ps = point_solver or _PointSolver(model)
+    ps = _PointSolver(model)
     trace = SearchTrace(method="bisection")
 
     _, _, _, p0 = ps.solve(0.0)
@@ -282,7 +282,6 @@ def solve_cmdp(
     f_max: float,
     lambda_max: float = 1000.0,
     epsilon_mix: float = 1e-6,
-    max_iters: int = 100,
 ) -> ConstrainedSolution:
     """Full constrained solve by intersection search over the price.
 
@@ -313,7 +312,7 @@ def solve_cmdp(
 
     lo, hi = p0, pmax
     lam_star = None
-    for _ in range(max_iters):
+    for _ in range(SEARCH_MAX_STEPS):
         if lo.F <= f_max or hi.F > f_max:
             raise NoProgressError(
                 f"bracket frequencies [{hi.F:.6f}, {lo.F:.6f}] no longer straddle {f_max}"
@@ -336,7 +335,7 @@ def solve_cmdp(
         else:
             hi = pt
     if lam_star is None:
-        raise NoProgressError(f"intersection search did not settle in {max_iters} steps")
+        raise NoProgressError(f"intersection search did not settle in {SEARCH_MAX_STEPS} steps")
 
     eps = max(epsilon_mix, epsilon_mix * lam_star)
     lam_minus = max(lam_star - eps, 0.0)

@@ -2,8 +2,9 @@
 
 Everything derives from RemestError so callers can catch library failures
 without swallowing programming errors.  Validation errors (bad matrices,
-bad configs) are distinguished from numerical non-convergence because the
-CLI maps them to different exit codes.
+bad configs) are distinguished from numerical failures (ConvergenceFailure:
+an iteration cap of SPI or RVI, or a direct solve whose residual check
+fails) because the CLI maps them to different exit codes.
 """
 
 
@@ -40,11 +41,7 @@ class ConfigError(ValidationError):
 
 
 class ConvergenceFailure(RemestError):
-    """An iterative numerical routine exhausted its iteration budget."""
-
-
-class NonConvergenceError(RemestError):
-    """Policy iteration cycled past its iteration cap."""
+    """A numerical routine hit its iteration cap or failed its residual check."""
 
 
 class DegenerateSlopesError(RemestError):

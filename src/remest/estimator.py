@@ -8,22 +8,12 @@ observable (some chains hit exact 0.5/0.5 posteriors at specific ages).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .markov import MarkovChain, belief, matrix_power
-
-TIE_TOL = 1e-12
-
-
-class TieRule(enum.Enum):
-    """Argmax tie policy.  Only LOWEST_INDEX is implemented; it is named so
-    audits can see which rule produced a table."""
-
-    LOWEST_INDEX = "lowest-index"
 
 
 @dataclass(frozen=True)
@@ -37,7 +27,6 @@ class EstimateTable:
     chain: MarkovChain
     theta_max: int
     table: np.ndarray
-    tie_rule: TieRule = TieRule.LOWEST_INDEX
 
     def lookup(self, z: int, theta: int) -> int:
         return int(self.table[z, min(theta, self.theta_max)])
@@ -94,11 +83,11 @@ def steady_state_age(
     """
     if theta_probe < 1:
         raise DomainError("theta_probe must be at least 1")
-    target = set(chain.stationary().tie_set(TIE_TOL))
+    target = set(chain.stationary().tie_set())
 
     def consistent(theta: int) -> bool:
         b = belief(chain, z, theta)
-        return bool(target.intersection(b.tie_set(TIE_TOL)))
+        return bool(target.intersection(b.tie_set()))
 
     if not consistent(theta_probe):
         return None

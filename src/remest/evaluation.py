@@ -63,10 +63,9 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     """
     p, act_minus, act_plus = _mixture_parts(policy)
     tx_rate = p * act_minus + (1.0 - p) * act_plus
-    ref = model.ref_index
-    reach = reachable_set(induced_kernel(model, tx_rate), ref)
+    reach = reachable_set(induced_kernel(model, tx_rate), model.ref_index)
     try:
-        factor = _pinned_lu(model, tx_rate, ref, reach)
+        factor = _pinned_lu(model, tx_rate, reach)
     except RuntimeError as exc:
         raise ConvergenceFailure(f"stationary law solve failed: {exc}") from exc
     rhs = np.zeros(reach.size + 1)
@@ -277,7 +276,7 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
     p_s = model.p_s
     minus, plus = act_minus.tolist(), act_plus.tolist()
 
-    xstar = int(model.chain.stationary().argmax())
+    xstar = int(model.x_of[model.ref_index])
     x = xstar
     z, theta = xstar, tm
     delta_model = 0

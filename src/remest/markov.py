@@ -2,7 +2,10 @@
 
 A validated chain is immutable apart from its power cache, which is an
 append-only memo (populated eagerly up to the model's age truncation at
-build time, lazily beyond), so concurrent readers are safe.
+build time, lazily beyond), so concurrent readers are safe.  The stationary
+law is one direct solve of the balance equations, periodic chains included;
+``Distribution.argmax`` breaks ties within 1e-12 toward the lowest index, so
+round-off never picks between exactly tied states.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 PROB_SUM_TOL = 1e-12
-STATIONARY_TOL = 1e-14
-STATIONARY_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ class Distribution:
         object.__setattr__(self, "probs", p)
 
     def argmax(self) -> int:
-        """Lowest-index state attaining the maximum probability."""
-        return int(np.argmax(self.probs))
+        """Lowest-index state within 1e-12 of the maximum probability, so
+        that round-off never decides between exactly tied states."""
+        return self.tie_set()[0]
 
     def tie_set(self, tol: float = 1e-12) -> list[int]:
         """All states within ``tol`` of the maximum probability."""
@@ -64,16 +66,10 @@ class MarkovChain:
     power_cache: dict = field(default_factory=dict, repr=False)
     _stationary: Distribution | None = field(default=None, repr=False)
 
-    def power(self, n: int) -> np.ndarray:
-        return matrix_power(self, n)
-
     def stationary(self) -> Distribution:
         if self._stationary is None:
             self._stationary = stationary(self)
         return self._stationary
-
-    def belief(self, z: int, theta: int) -> Distribution:
-        return belief(self, z, theta)
 
     def prefetch_powers(self, up_to: int) -> None:
         """Populate the power cache for exponents 0..up_to."""
@@ -136,46 +132,26 @@ def matrix_power(chain: MarkovChain, n: int) -> np.ndarray:
 
 
 def stationary(chain: MarkovChain) -> Distribution:
-    """Stationary distribution: power iteration with an exact-solve fallback.
+    """Stationary distribution by one direct solve.
 
-    Power iteration runs at tolerance 1e-14 with a 1e6 sweep cap; periodic
-    chains defeat it, so on failure the linear system (fixed point plus
-    normalization) is solved directly.
+    The balance equations nu (Q - I) = 0 with their last row replaced by the
+    normalisation sum(nu) = 1 have a unique solution for an irreducible
+    chain, periodic or not; a balance residual above 1e-12 raises.
     """
     q = chain.rows
     n = chain.n_states
-    nu = np.full(n, 1.0 / n)
-    converged = False
-    for _ in range(STATIONARY_MAX_ITER):
-        nxt = nu @ q
-        if np.abs(nxt - nu).max() < STATIONARY_TOL:
-            nu = nxt
-            converged = True
-            break
-        nu = nxt
-    if not converged:
-        nu = _stationary_linear_solve(q)
-    nu = nu / nu.sum()
-    resid = np.abs(nu @ q - nu).max()
-    if resid > 1e-12:
-        nu = _stationary_linear_solve(q)
-        nu = nu / nu.sum()
-        resid = np.abs(nu @ q - nu).max()
-        if resid > 1e-12:
-            raise ConvergenceFailure(
-                f"stationary distribution residual {resid:.3e} exceeds 1e-12"
-            )
-    return Distribution(nu)
-
-
-def _stationary_linear_solve(q: np.ndarray) -> np.ndarray:
-    n = q.shape[0]
-    a = (q.T - np.eye(n)).copy()
+    a = q.T - np.eye(n)
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    nu = np.linalg.solve(a, b)
-    return np.clip(nu, 0.0, None)
+    nu = np.clip(np.linalg.solve(a, b), 0.0, None)
+    nu = nu / nu.sum()
+    resid = np.abs(nu @ q - nu).max()
+    if resid > 1e-12:
+        raise ConvergenceFailure(
+            f"stationary distribution residual {resid:.3e} exceeds 1e-12"
+        )
+    return Distribution(nu)
 
 
 def symmetric_power_closed_form(n_states: int, sigma: float, n: int) -> np.ndarray:

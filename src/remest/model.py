@@ -290,18 +290,6 @@ class SystemModel:
         x = rest // n
         return MdpState(int(x), int(z), int(theta), int(delta), int(index))
 
-    def triple_slice(self, x: int, z: int, theta: int) -> slice:
-        """Contiguous index range of one (x, z, theta) triple's delta axis."""
-        base = int(self.encode(x, z, theta, 0))
-        return slice(base, base + self.delta_max + 1)
-
-    def iter_triples(self):
-        n, tm = self.n_states, self.theta_max
-        for x in range(n):
-            for z in range(n):
-                for theta in range(tm + 1):
-                    yield x, z, theta
-
     # -- expected-continuation gathers -------------------------------------
     def ev_idle(self, values: np.ndarray) -> np.ndarray:
         """E[V(next) | s, idle] for a value row (or stacked rows)."""

@@ -18,8 +18,10 @@ the same pattern, so one fill-reducing column order is computed per model,
 on the first factorization, and every factor after it reuses that order
 instead of ordering its own matrix.  The same pinned solve yields J and F
 of the policy, so SPI's callers read them from its ``GainBias``.
-The improvement pass works on the (triples, delta_max + 1) reshape of the
-state space, one row per (x, z, theta) triple, with no Python loop.
+The improvement pass, the threshold view and the structural checks work on
+the (triples, delta_max + 1) reshape of the state space, one row per
+(x, z, theta) triple, with no Python loop; SPI, RVI and the submodularity
+check share one Q-factor routine.
 """
 
 from __future__ import annotations
@@ -32,12 +34,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
-from .errors import ConvergenceFailure, DomainError, NonConvergenceError
+from .errors import ConvergenceFailure, DomainError
 from .model import SystemModel
 
 INF = math.inf
 TIE_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
+SPI_MAX_PASSES = 500
+RVI_SPAN_TOL = 1e-10
+RVI_MAX_SWEEPS = 10**6
 
 
 @dataclass
@@ -63,11 +68,12 @@ class DeterministicPolicy:
 class GainBias:
     """Solution of the fixed-policy evaluation equations.
 
-    ``gain`` is the average cost, ``bias`` the relative value vector with
-    bias[s_ref] = 0.  ``j_component`` and ``f_component`` decompose the gain
-    into the error-cost part and the transmission frequency (gain ==
-    j + lam * f up to round-off); they are further right-hand sides of the
-    same pinned solve, not read from a stationary law.  ``residual`` is the
+    ``gain`` is the average cost, ``bias`` the relative value vector, zero
+    at the model's reference state.  ``j_component`` and ``f_component``
+    decompose the gain into the error-cost part and the transmission
+    frequency (gain == j + lam * f up to round-off); they are further
+    right-hand sides of the same pinned solve, not read from a stationary
+    law.  ``residual`` is the
     largest Bellman residual of (gain, bias).  ``method`` names the route:
     "pinned-lu" (the full-space solve), "class-solve" (a multichain policy,
     see ``policy_evaluate``) or "rvi".  ``sweeps`` counts value-iteration
@@ -89,12 +95,13 @@ class ThresholdView:
     """Per-triple transmit thresholds on the consecutive-error age.
 
     Keys are (x, z, theta) triples that face an error; the value is the
-    smallest error age at which the policy transmits (math.inf for never).
-    The age counted is the impending one under the immediate timing and the
-    current AoCE under the delayed timing (``model.threshold_offset``).
-    Under the immediate timing, triples whose estimate is about to change
-    reset the impending age to 1, so their only expressible thresholds are 1
-    and infinity.
+    smallest error age at which the policy transmits (an int, or math.inf
+    for never).  The age counted is the impending one under the immediate
+    timing and the current AoCE under the delayed timing
+    (``model.threshold_offset``).  Under the immediate timing, triples whose
+    estimate is about to change reset the impending age to 1, so their only
+    expressible thresholds are 1 and infinity.  Both directions work on the
+    (triples, delta_max + 1) reshape of the action table, one row per triple.
     """
 
     thresholds: dict
@@ -104,60 +111,60 @@ class ThresholdView:
         return sorted(set(self.thresholds.values()))
 
     def reconstruct(self, model: SystemModel) -> DeterministicPolicy:
+        keys = np.array(list(self.thresholds), dtype=np.int64).reshape(-1, 3)
+        thr = np.array(list(self.thresholds.values()), dtype=float)
+        rows = model.encode(keys[:, 0], keys[:, 1], keys[:, 2], 0) // (model.delta_max + 1)
+        same = _by_triple(model, model.case_same_error)[rows, 0]
+        first = np.where(same, thr - model.threshold_offset, np.where(thr <= 1, 0, INF))
         actions = np.zeros(model.num_mdp_states, dtype=np.uint8)
-        dm = model.delta_max
-        for (x, z, theta), thr in self.thresholds.items():
-            if thr is INF or thr == INF:
-                continue
-            sl = model.triple_slice(x, z, theta)
-            base = sl.start
-            if model.case_same_error[base]:
-                dhat = int(thr) - model.threshold_offset
-                actions[base + dhat : base + dm + 1] = 1
-            else:
-                if thr <= 1:
-                    actions[sl] = 1
+        _by_triple(model, actions)[rows] = np.arange(model.delta_max + 1) >= first[:, None]
         return DeterministicPolicy(actions)
 
     @staticmethod
     def from_policy(model: SystemModel, policy: DeterministicPolicy) -> "ThresholdView":
-        thresholds = {}
-        a = policy.actions
-        dm = model.delta_max
-        for x, z, theta in model.iter_triples():
-            sl = model.triple_slice(x, z, theta)
-            base = sl.start
-            if model.idle_pinned[base]:
-                if a[sl].any():
-                    raise DomainError(
-                        f"policy transmits at synced triple {(x, z, theta)}"
-                    )
-                continue
-            seg = a[sl]
-            ones = np.flatnonzero(seg)
-            if ones.size == 0:
-                thresholds[(x, z, theta)] = INF
-                continue
-            dhat = int(ones[0])
-            if not seg[dhat:].all():
-                raise DomainError(
-                    f"policy is not a canonical switching policy at {(x, z, theta)}"
-                )
-            if model.case_same_error[base]:
-                if dhat == dm:
-                    # Only the saturated slot transmits; same impending age as
-                    # its neighbor, not expressible as a clean threshold.
-                    raise DomainError(
-                        f"non-canonical cut at the truncation corner of {(x, z, theta)}"
-                    )
-                thresholds[(x, z, theta)] = dhat + model.threshold_offset
-            else:
-                if dhat != 0:
-                    raise DomainError(
-                        f"fresh-error triple {(x, z, theta)} has a delta-dependent action"
-                    )
-                thresholds[(x, z, theta)] = 1
-        return ThresholdView(thresholds=thresholds, delta_max=dm)
+        a = _by_triple(model, policy.actions).astype(bool)
+        pinned = _by_triple(model, model.idle_pinned)[:, 0]
+        same = _by_triple(model, model.case_same_error)[:, 0]
+        sends = a.any(axis=1)
+        first = a.argmax(axis=1)  # first transmitting slot; 0 when none
+        canonical = (np.logical_or.accumulate(a, axis=1) == a).all(axis=1)
+        fault = np.select(
+            [
+                pinned & sends,
+                ~pinned & ~canonical,
+                ~pinned & sends & same & (first == model.delta_max),
+                ~pinned & sends & ~same & (first != 0),
+            ],
+            [1, 2, 3, 4],
+        )
+        bad = np.flatnonzero(fault)
+        if bad.size:
+            triple = _triple_keys(model, bad[:1])[0]
+            raise DomainError(
+                (
+                    f"policy transmits at synced triple {triple}",
+                    f"policy is not a canonical switching policy at {triple}",
+                    # Only the saturated slot transmits; same impending age
+                    # as its neighbor, not expressible as a clean threshold.
+                    f"non-canonical cut at the truncation corner of {triple}",
+                    f"fresh-error triple {triple} has a delta-dependent action",
+                )[fault[bad[0]] - 1]
+            )
+        free = np.flatnonzero(~pinned)
+        thr = np.where(same, first + model.threshold_offset, 1)[free].tolist()
+        values = (t if s else INF for t, s in zip(thr, sends[free]))
+        return ThresholdView(dict(zip(_triple_keys(model, free), values)), model.delta_max)
+
+
+def _by_triple(model: SystemModel, values: np.ndarray) -> np.ndarray:
+    """The (triples, delta_max + 1) reshape: one row per (x, z, theta) triple."""
+    return values.reshape(-1, model.delta_max + 1)
+
+
+def _triple_keys(model: SystemModel, rows: np.ndarray) -> list:
+    """(x, z, theta) tuples of plain ints for rows of the triple reshape."""
+    base = rows * (model.delta_max + 1)
+    return list(zip(*(v[base].tolist() for v in (model.x_of, model.z_of, model.theta_of))))
 
 
 def never_transmit_policy(model: SystemModel) -> DeterministicPolicy:
@@ -240,19 +247,20 @@ class _PinnedFactor:
         return x
 
 
-def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, s_ref: int, states=None):
+def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None):
     """Sparse LU of the pinned system M = [[I - K(q), 1], [e_ref, 0]].
 
     The unknowns are (bias, gain): M [h; g] = [c; 0] is the gain/bias system
-    with h[s_ref] = 0, and M^T [mu; 0] = [0; 1] is the stationary law.
-    ``states``, when given, is a closed set of the chain containing s_ref and
-    the system is restricted to it.  Columns are factored in the model's
-    ``pinned_order`` (restricted to ``states``, keeping its relative order),
-    so SuperLU skips its own ordering.  Returns a ``_PinnedFactor``; raises
+    with h = 0 at the model's reference state, and M^T [mu; 0] = [0; 1] is
+    the stationary law.  ``states``, when given, is a closed set of the
+    chain containing the reference state and the system is restricted to
+    it.  Columns are factored in the model's ``pinned_order`` (restricted to
+    ``states``, keeping its relative order), so SuperLU skips its own
+    ordering.  Returns a ``_PinnedFactor``; raises
     RuntimeError when M is exactly singular.
     """
     rows, cols, probs = _kernel_entries(model, tx_prob)
-    order = model.pinned_order
+    s_ref, order = model.ref_index, model.pinned_order
     if states is not None:
         m = model.num_mdp_states
         local = np.full(m + 1, -1, dtype=np.int32)
@@ -290,33 +298,27 @@ def _span(x: np.ndarray) -> float:
     return float(x.max() - x.min())
 
 
-def policy_evaluate(
-    model: SystemModel,
-    policy: DeterministicPolicy,
-    lam: float,
-    s_ref: int | None = None,
-) -> GainBias:
-    """Gain and bias of a fixed policy, bias pinned to zero at s_ref.
+def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float) -> GainBias:
+    """Gain and bias of a fixed policy, bias pinned to zero at model.ref_index.
 
     One sparse LU of the pinned system gives the gain, the bias and the
     (J, F) split as three right-hand sides.  When that system is singular
     or its residual exceeds RESIDUAL_TOL (a policy whose chain splits into
     closed classes with unequal gains), the system is solved on the class
-    of s_ref instead and the other states are relaxed against its gain.
+    of the reference state instead and the other states are relaxed against
+    its gain.
     """
-    if s_ref is None:
-        s_ref = model.ref_index
     q = policy.actions.astype(float)
     costs = _stage_costs(model, lam, policy.actions)
     rhs = np.vstack([costs.T, np.zeros((1, 3))])
     try:
-        factor = _pinned_lu(model, q, s_ref)
+        factor = _pinned_lu(model, q)
     except RuntimeError:  # exactly singular
-        return _evaluate_on_class(model, q, lam, s_ref, costs)
+        return _evaluate_on_class(model, q, lam, costs)
     sol = factor.solve(rhs)
     resid = float(np.abs(factor.matrix @ sol[factor.order, 0] - rhs[:, 0]).max())
     if not resid <= RESIDUAL_TOL:
-        return _evaluate_on_class(model, q, lam, s_ref, costs)
+        return _evaluate_on_class(model, q, lam, costs)
     gain, j, f = sol[-1]
     return GainBias(
         gain=float(gain),
@@ -329,18 +331,18 @@ def policy_evaluate(
     )
 
 
-def _evaluate_on_class(model, q, lam, s_ref, costs) -> GainBias:
+def _evaluate_on_class(model, q, lam, costs) -> GainBias:
     """Evaluation of a policy whose chain has several closed classes.
 
-    Solves exactly on the class of s_ref and relaxes the remaining states
-    against that gain (best effort; their actions get corrected by
-    subsequent improvement steps).  The reported residual covers all states.
+    Solves exactly on the class of the reference state and relaxes the
+    remaining states against that gain (best effort; their actions get
+    corrected by subsequent improvement steps).  The reported residual covers all states.
     """
     s_count = model.num_mdp_states
     kernel = induced_kernel(model, q)
-    reach = reachable_set(kernel, s_ref)
+    reach = reachable_set(kernel, model.ref_index)
     try:
-        factor = _pinned_lu(model, q, s_ref, reach)
+        factor = _pinned_lu(model, q, reach)
     except RuntimeError as exc:
         raise ConvergenceFailure(f"class of the reference state is not unichain: {exc}") from exc
     sol = factor.solve(np.vstack([costs[:, reach].T, np.zeros((1, 3))]))
@@ -370,12 +372,15 @@ def _evaluate_on_class(model, q, lam, s_ref, costs) -> GainBias:
     )
 
 
+def _q_factors(model: SystemModel, lam: float, v: np.ndarray):
+    """Q-factors (idle, transmit) of every state under the value vector v."""
+    ev_i = model.ev_idle(v)
+    ev_s = model.ev_success(v)
+    return model.idle_cost + ev_i, lam + model.tx_cost + model.p_f * ev_i + model.p_s * ev_s
+
+
 def _structured_improvement(
-    model: SystemModel,
-    lam: float,
-    bias: np.ndarray,
-    incumbent: np.ndarray,
-    tie_tol: float = TIE_TOL,
+    model: SystemModel, lam: float, bias: np.ndarray, incumbent: np.ndarray
 ) -> np.ndarray:
     """One structured improvement pass: ascend the error-age axis per triple,
     switch to transmit at the first improving age, keep transmit above it.
@@ -384,21 +389,18 @@ def _structured_improvement(
     (x, z, theta) triple is one row of the (triples, delta_max + 1) reshape;
     returns the new action table.
     """
-    ev_i = model.ev_idle(bias)
-    ev_s = model.ev_success(bias)
-    q0 = model.idle_cost + ev_i
-    q1 = lam + model.tx_cost + model.p_f * ev_i + model.p_s * ev_s
+    q0, q1 = _q_factors(model, lam, bias)
     dm = model.delta_max
-    d = (q1 - q0).reshape(-1, dm + 1)
-    inc = incumbent.reshape(d.shape) == 1
-    prefer = np.where(d < -tie_tol, True, np.where(d > tie_tol, False, inc))
+    d = _by_triple(model, q1 - q0)
+    inc = _by_triple(model, incumbent) == 1
+    prefer = np.where(d < -TIE_TOL, True, np.where(d > TIE_TOL, False, inc))
     # Same-error triples transmit from the first preferred age below the
     # truncation corner on; the corner alone never sets the threshold.
     ramp = np.logical_or.accumulate(prefer[:, np.minimum(np.arange(dm + 1), dm - 1)], axis=1)
     # Fresh-error triples face impending error age 1 in every slot, so the
     # whole triple shares the decision of its first slot.
-    same = model.case_same_error.reshape(d.shape)[:, :1]
-    free = ~model.idle_pinned.reshape(d.shape)[:, :1]
+    same = _by_triple(model, model.case_same_error)[:, :1]
+    free = ~_by_triple(model, model.idle_pinned)[:, :1]
     actions = np.where(same, ramp, prefer[:, :1]) & free
     return actions.astype(np.uint8).ravel()
 
@@ -407,9 +409,6 @@ def spi_solve(
     model: SystemModel,
     lam: float,
     policy0: DeterministicPolicy | None = None,
-    max_iters: int = 500,
-    tie_tol: float = TIE_TOL,
-    s_ref: int | None = None,
 ) -> tuple[DeterministicPolicy, GainBias, ThresholdView]:
     """Structured policy iteration from the never-transmit policy.
 
@@ -424,69 +423,50 @@ def spi_solve(
         if policy0 is not None
         else np.zeros(model.num_mdp_states, dtype=np.uint8)
     )
-    for _ in range(max_iters):
+    for _ in range(SPI_MAX_PASSES):
         policy = DeterministicPolicy(actions)
-        gb = policy_evaluate(model, policy, lam, s_ref=s_ref)
-        new_actions = _structured_improvement(model, lam, gb.bias, actions, tie_tol)
+        gb = policy_evaluate(model, policy, lam)
+        new_actions = _structured_improvement(model, lam, gb.bias, actions)
         if np.array_equal(new_actions, actions):
             return policy, gb, ThresholdView.from_policy(model, policy)
         actions = new_actions
-    raise NonConvergenceError(
-        f"structured policy iteration did not settle within {max_iters} passes"
+    raise ConvergenceFailure(
+        f"structured policy iteration did not settle within {SPI_MAX_PASSES} passes"
     )
 
 
-def rvi_solve(
-    model: SystemModel,
-    lam: float,
-    span_tol: float = 1e-10,
-    max_iters: int = 10**6,
-    s_ref: int | None = None,
-    v0: np.ndarray | None = None,
-) -> tuple[DeterministicPolicy, GainBias]:
+def rvi_solve(model: SystemModel, lam: float) -> tuple[DeterministicPolicy, GainBias]:
     """Unstructured relative value iteration over all state-action pairs.
 
     Serves as the independent oracle for the structured solver: no policy
-    class restriction, plain Bellman minimization until the span of
-    successive value differences is below span_tol.
+    class restriction, plain Bellman minimization from zero until the span
+    of successive value differences is below RVI_SPAN_TOL.
     """
-    if s_ref is None:
-        s_ref = model.ref_index
-    c0 = model.idle_cost
-    c1 = lam + model.tx_cost
-    v = np.zeros(model.num_mdp_states) if v0 is None else v0.copy()
+    s_ref = model.ref_index
+    v = np.zeros(model.num_mdp_states)
     prev_tv = None
-    gain = float("nan")
-    for it in range(max_iters):
-        ev_i = model.ev_idle(v)
-        ev_s = model.ev_success(v)
-        q0 = c0 + ev_i
-        q1 = c1 + model.p_f * ev_i + model.p_s * ev_s
-        tv = np.minimum(q0, q1)
-        if prev_tv is not None and _span(tv - prev_tv) < span_tol:
+    for it in range(RVI_MAX_SWEEPS):
+        tv = np.minimum(*_q_factors(model, lam, v))
+        if prev_tv is not None and _span(tv - prev_tv) < RVI_SPAN_TOL:
             gain = float(tv[s_ref])
             v = tv - gain
             break
         prev_tv = tv
         v = tv - tv[s_ref]
     else:
-        raise NonConvergenceError(
-            f"relative value iteration span above {span_tol} after {max_iters} sweeps"
+        raise ConvergenceFailure(
+            f"relative value iteration span above {RVI_SPAN_TOL} after {RVI_MAX_SWEEPS} sweeps"
         )
-    ev_i = model.ev_idle(v)
-    ev_s = model.ev_success(v)
-    q0 = c0 + ev_i
-    q1 = c1 + model.p_f * ev_i + model.p_s * ev_s
-    actions = (q1 < q0 - TIE_TOL).astype(np.uint8)
-    policy = DeterministicPolicy(actions)
-    comp = policy_evaluate(model, policy, lam, s_ref=s_ref)
+    q0, q1 = _q_factors(model, lam, v)
+    policy = DeterministicPolicy((q1 < q0 - TIE_TOL).astype(np.uint8))
+    comp = policy_evaluate(model, policy, lam)
     gb = GainBias(
         gain=gain,
         bias=v,
         lam=lam,
         j_component=comp.j_component,
         f_component=comp.f_component,
-        residual=_span(tv - prev_tv) if prev_tv is not None else float("nan"),
+        residual=_span(tv - prev_tv),
         method="rvi",
         sweeps=it + 1,
     )
@@ -496,27 +476,23 @@ def rvi_solve(
 def check_switching_structure(policy: DeterministicPolicy, model: SystemModel) -> list:
     """Violations of the switching shape: transmit at a synced state, or an
     action that drops as the error age grows within a triple."""
-    violations = []
-    a = policy.actions
-    for x, z, theta in model.iter_triples():
-        sl = model.triple_slice(x, z, theta)
-        base = sl.start
-        seg = a[sl]
-        if model.idle_pinned[base]:
-            if seg.any():
-                violations.append(
-                    {"triple": (x, z, theta), "kind": "transmit-at-synced"}
-                )
-            continue
-        if np.any(np.diff(seg.astype(np.int8)) < 0):
-            violations.append({"triple": (x, z, theta), "kind": "non-monotone"})
-    return violations
+    a = _by_triple(model, policy.actions).astype(bool)
+    pinned = _by_triple(model, model.idle_pinned)[:, 0]
+    kind = np.select(
+        [pinned & a.any(axis=1), ~pinned & (np.logical_or.accumulate(a, axis=1) != a).any(axis=1)],
+        [1, 2],
+    )
+    bad = np.flatnonzero(kind)
+    names = ("transmit-at-synced", "non-monotone")
+    return [
+        {"triple": t, "kind": names[k - 1]}
+        for t, k in zip(_triple_keys(model, bad), kind[bad].tolist())
+    ]
 
 
 def check_value_monotonicity(gainbias: GainBias, model: SystemModel) -> float:
     """Largest drop of the bias along the error-age axis (theory: <= 0)."""
-    dm = model.delta_max
-    v = gainbias.bias.reshape(-1, dm + 1)
+    v = _by_triple(model, gainbias.bias)
     running_max = np.maximum.accumulate(v, axis=1)
     return float((running_max - v).max())
 
@@ -524,12 +500,7 @@ def check_value_monotonicity(gainbias: GainBias, model: SystemModel) -> float:
 def check_submodularity(model: SystemModel, gainbias: GainBias) -> float:
     """Largest violation of the transmit-advantage monotonicity in the error
     age (the Q-factor cross-difference; theory: <= 0)."""
-    lam = gainbias.lam
-    bias = gainbias.bias
-    ev_i = model.ev_idle(bias)
-    ev_s = model.ev_success(bias)
-    q0 = model.idle_cost + ev_i
-    q1 = lam + model.tx_cost + model.p_f * ev_i + model.p_s * ev_s
-    d = (q1 - q0).reshape(-1, model.delta_max + 1)
+    q0, q1 = _q_factors(model, gainbias.lam, gainbias.bias)
+    d = _by_triple(model, q1 - q0)
     running_min = np.minimum.accumulate(d, axis=1)
     return float((d - running_min).max())

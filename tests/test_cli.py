@@ -220,3 +220,13 @@ class TestEmitResults:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], "csv", str(tmp_path / "e.csv"))
+
+
+def test_spi_pass_cap_exits_three(config_path, capsys, monkeypatch):
+    monkeypatch.setattr("remest.solver.SPI_MAX_PASSES", 1)
+    assert main(["solve-lambda", "--config", config_path, "--lam", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConvergenceFailure"

@@ -7,6 +7,7 @@ from remest import (
     InfeasiblePairError,
     bisection_solve,
     build_mixture,
+    check_switching_structure,
     intersection_step,
     never_transmit_policy,
     reactive_policy,
@@ -178,3 +179,13 @@ class TestBuildMixture:
         sol = solved_main(main_model, 0.1)
         met = stationary_metrics(main_model, sol.policy)
         assert abs(met.F - 0.1) < 1e-6
+
+
+def test_delayed_budget_at_delta_max_two(main_config):
+    # Once raised ConvergenceFailure; now a mixture (lambda* about 2.734).
+    model = main_config.with_overrides(delta_max=2).build_model(timing="delayed")
+    sol = solve_cmdp(model, 0.1)
+    assert sol.kind == "mixture"
+    assert abs(sol.F - 0.1) <= 1e-6
+    assert check_switching_structure(sol.policy.policy_minus, model) == []
+    assert check_switching_structure(sol.policy.policy_plus, model) == []

@@ -214,3 +214,12 @@ class TestDistribution:
 
     def test_argmax_lowest_index_on_tie(self):
         assert Distribution(np.array([0.5, 0.5])).argmax() == 0
+
+
+class TestReferenceStateTies:
+    def test_near_tie_goes_to_lowest_index(self):
+        d = Distribution(np.array([0.3333333333333333, 0.3333333333333334, 0.33333333333333326]))
+        assert d.argmax() == 0
+
+    def test_symmetric_chain_reference_source_state(self, sym_model):
+        assert sym_model.x_of[sym_model.ref_index] == 0

@@ -1,11 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from remest import (
+    ConvergenceFailure,
     DeterministicPolicy,
+    DomainError,
     ThresholdView,
     build_model,
     check_submodularity,
@@ -354,3 +357,126 @@ class TestInducedKernel:
         mix = 0.25 * ka + 0.75 * kb
         sums = np.asarray(sp.csr_matrix(mix).sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() < 1e-12
+
+
+class TestThresholdViewFaults:
+    """Each single-fault table raises DomainError naming its triple."""
+
+    @staticmethod
+    def triple_bases(model, mask):
+        # First index of every (x, z, theta) triple whose states satisfy mask.
+        return np.flatnonzero(mask & (model.delta_of == 0))
+
+    def assert_fault(self, model, actions, base, text):
+        triple = tuple(model.decode(int(base)))[:3]
+        with pytest.raises(DomainError, match=text) as info:
+            ThresholdView.from_policy(model, DeterministicPolicy(actions))
+        assert str(triple) in str(info.value)
+
+    def test_transmit_at_pinned_triple(self, main_model):
+        base = self.triple_bases(main_model, main_model.idle_pinned)[0]
+        actions = np.zeros(main_model.num_mdp_states, dtype=np.uint8)
+        actions[base] = 1
+        self.assert_fault(main_model, actions, base, "synced triple")
+
+    def test_zero_one_zero_along_error_age(self, main_model):
+        base = self.triple_bases(main_model, ~main_model.idle_pinned)[0]
+        actions = np.zeros(main_model.num_mdp_states, dtype=np.uint8)
+        actions[base + 1] = 1
+        self.assert_fault(main_model, actions, base, "not a canonical switching policy")
+
+    def test_only_the_corner_slot_of_a_same_error_triple(self, main_model):
+        base = self.triple_bases(main_model, main_model.case_same_error)[0]
+        actions = np.zeros(main_model.num_mdp_states, dtype=np.uint8)
+        actions[base + main_model.delta_max] = 1
+        self.assert_fault(main_model, actions, base, "truncation corner")
+
+    def test_fresh_error_triple_from_error_age_one(self, main_model):
+        fresh = ~main_model.idle_pinned & ~main_model.case_same_error
+        bases = self.triple_bases(main_model, fresh)
+        assert bases.size == 4
+        actions = np.zeros(main_model.num_mdp_states, dtype=np.uint8)
+        actions[bases[0] + 1 : bases[0] + main_model.delta_max + 1] = 1
+        self.assert_fault(main_model, actions, bases[0], "delta-dependent action")
+
+
+@pytest.mark.parametrize("fixture", ["paper_model", "zoh_model", "paper_zoh_model"])
+def test_threshold_view_roundtrip_other_models(fixture, request):
+    model = request.getfixturevalue(fixture)
+    for lam in (0.0, 2.0, 5.0, 10.0):
+        policy, _, _ = spi_solve(model, lam)
+        assert ThresholdView.from_policy(model, policy).reconstruct(model).same_as(policy)
+        assert check_switching_structure(policy, model) == []
+
+
+def test_spi_pass_cap_raises_convergence_failure(main_model, monkeypatch):
+    monkeypatch.setattr("remest.solver.SPI_MAX_PASSES", 1)
+    with pytest.raises(ConvergenceFailure):
+        spi_solve(main_model, 5.0)
+
+
+def loop_threshold_view(model, actions):
+    """Triple-by-triple reference for ThresholdView.from_policy and
+    check_switching_structure: (thresholds or fault message, violations)."""
+    dm = model.delta_max
+    thresholds, fault, violations = {}, None, []
+    for base in range(0, model.num_mdp_states, dm + 1):
+        s = model.decode(base)
+        key = (s.x, s.z, s.theta)
+        seg = actions[base : base + dm + 1]
+        if np.any(np.diff(seg.astype(np.int8)) < 0) and not model.idle_pinned[base]:
+            violations.append({"triple": key, "kind": "non-monotone"})
+        if model.idle_pinned[base]:
+            if seg.any():
+                violations.append({"triple": key, "kind": "transmit-at-synced"})
+                fault = fault or f"policy transmits at synced triple {key}"
+            continue
+        ones = np.flatnonzero(seg)
+        if ones.size == 0:
+            thresholds[key] = math.inf
+        elif not seg[ones[0]:].all():
+            fault = fault or f"policy is not a canonical switching policy at {key}"
+        elif not model.case_same_error[base]:
+            if ones[0] != 0:
+                fault = fault or f"fresh-error triple {key} has a delta-dependent action"
+            thresholds[key] = 1
+        elif ones[0] == dm:
+            fault = fault or f"non-canonical cut at the truncation corner of {key}"
+        else:
+            thresholds[key] = int(ones[0]) + model.threshold_offset
+    return fault or thresholds, violations
+
+
+@pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
+def test_threshold_view_matches_loop_reference(fixture, request):
+    model = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    dm = model.delta_max
+    rows = model.num_mdp_states // (dm + 1)
+    free = ~model.idle_pinned.reshape(-1, dm + 1)
+    same = model.case_same_error.reshape(-1, dm + 1)[:, 0]
+    tables = [spi_solve(model, lam)[0].actions for lam in (0.0, 3.0, 8.0)]
+    for _ in range(4):
+        # Random canonical tables: any cut below the corner, or never.
+        start = rng.integers(0, dm + 1, rows)
+        start[start == dm] = dm + 1
+        start[~same] = np.where(rng.random((~same).sum()) < 0.5, 0, dm + 1)
+        tables.append(((np.arange(dm + 1) >= start[:, None]) & free).ravel())
+    for base in tables:
+        for flips in (0, 1, 2):
+            actions = base.astype(np.uint8)
+            actions[rng.integers(0, actions.size, flips)] ^= 1
+            expected, violations = loop_threshold_view(model, actions)
+            policy = DeterministicPolicy(actions)
+            assert check_switching_structure(policy, model) == violations
+            if isinstance(expected, str):
+                with pytest.raises(DomainError) as info:
+                    ThresholdView.from_policy(model, policy)
+                assert str(info.value) == expected
+                continue
+            view = ThresholdView.from_policy(model, policy)
+            assert list(view.thresholds.items()) == list(expected.items())
+            assert [type(v) for v in view.thresholds.values()] == [
+                type(v) for v in expected.values()
+            ]
+            assert view.reconstruct(model).same_as(policy)
