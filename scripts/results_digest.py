@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Digest of the solver's results, to show that a change did not move them.
+
+Writes JSON with, for the MAP and ZOH models of a config under both slot
+timings, the sha256 of the ``spi_solve`` action table and its gain, J and F
+at every price in 0, 0.5, ..., 20, and the ``solve_cmdp`` result (kind,
+lambda*, p, J, F, or the error raised) at every budget in 0.05, ..., 0.30.
+
+    python scripts/results_digest.py --out new.json
+    PYTHONPATH=/path/to/other/checkout/src python scripts/results_digest.py --out old.json
+    python scripts/results_digest.py --compare old.json new.json
+
+``--compare`` lists the action tables and fields that differ and the largest
+|delta| of the numbers; it exits 1 on any table, kind or error difference or
+on any |delta| above 1e-10, and 0 otherwise.
+"""
+
+import argparse
+import hashlib
+import json
+import math
+import sys
+
+PRICES = [0.5 * i for i in range(41)]
+BUDGETS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+TOLERANCE = 1e-10
+
+
+def _models(config):
+    zoh = config.with_overrides(theta_max=1, estimator="zoh")
+    for name, cfg in (("map", config), ("zoh", zoh)):
+        for timing in ("immediate", "delayed"):
+            yield f"{name}/{timing}", cfg.build_model(timing=timing)
+
+
+def digest(config_path: str) -> dict:
+    from remest import RemestError, SystemConfig, solve_cmdp, spi_solve  # --compare needs none
+
+    config = SystemConfig.from_file(config_path)
+    points, budgets = {}, {}
+    for label, model in _models(config):
+        for lam in PRICES:
+            policy, gb, _ = spi_solve(model, lam)
+            points[f"{label}/lam={lam}"] = {
+                "actions_sha256": hashlib.sha256(policy.actions.tobytes()).hexdigest(),
+                "gain": gb.gain,
+                "J": gb.j_component,
+                "F": gb.f_component,
+            }
+        for f_max in BUDGETS:
+            key = f"{label}/f={f_max}"
+            try:
+                sol = solve_cmdp(model, f_max, config.lambda_max, config.tolerances.mixture)
+            except RemestError as exc:
+                budgets[key] = {"error": type(exc).__name__}
+                continue
+            budgets[key] = {
+                "kind": sol.kind,
+                "lam_star": sol.lam_star,
+                "p": sol.policy.p if sol.is_mixture else 1.0,
+                "J": sol.J,
+                "F": sol.F,
+            }
+    return {"points": points, "budgets": budgets}
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print the differences of two digests; return the exit code."""
+    failed = False
+    worst, worst_at = 0.0, ""
+    for section in ("points", "budgets"):
+        a, b = old[section], new[section]
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                print(f"only in one digest: {section} {key}")
+                failed = True
+                continue
+            for field in sorted(set(a[key]) | set(b[key])):
+                va, vb = a[key].get(field), b[key].get(field)
+                numbers = isinstance(va, float) and isinstance(vb, float)
+                if numbers and math.isnan(va) == math.isnan(vb):
+                    gap = 0.0 if math.isnan(va) else abs(va - vb)
+                    if gap > worst:
+                        worst, worst_at = gap, f"{key} {field}"
+                elif va != vb:
+                    print(f"differs: {key} {field}: {va} -> {vb}")
+                    failed = True
+    print(f"largest |delta|: {worst:.3g} ({worst_at or 'none'})")
+    if worst > TOLERANCE:
+        failed = True
+    print("results differ" if failed else "results agree")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--config", default="configs/three_state.json")
+    ap.add_argument("--out", default="-", help="output file ('-' for stdout)")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two digests")
+    args = ap.parse_args()
+    if args.compare:
+        docs = []
+        for path in args.compare:
+            with open(path, encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+        sys.exit(compare(*docs))
+    payload = json.dumps(digest(args.config), indent=1, sort_keys=True)
+    if args.out == "-":
+        print(payload)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")

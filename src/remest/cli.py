@@ -21,6 +21,7 @@ from . import __version__
 from .config import SystemConfig
 from .constrained import bisection_solve, solve_cmdp
 from .errors import (
+    BadBracketError,
     ConfigError,
     ConvergenceFailure,
     RemestError,
@@ -41,6 +42,8 @@ from .markov import matrix_power, symmetric_power_closed_form
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+NAN = float("nan")
+INFEASIBLE = "infeasible"  # kind of a grid budget that cannot be bracketed
 
 
 def _fmt(value) -> str:
@@ -199,30 +202,27 @@ def cmd_thresholds(config: SystemConfig, args) -> tuple:
     digest = config.digest()
     rows = []
     for f_max in _parse_grid(args.fmax_grid):
-        sol = solve_cmdp(model, f_max, config.lambda_max, config.tolerances.mixture)
-        if sol.is_mixture:
-            thr_minus = _single_threshold(sol.view_minus)
-            thr_plus = _single_threshold(sol.view_plus)
-            p = sol.policy.p
-        else:
-            thr_minus = ""
-            thr_plus = _single_threshold(sol.view_plus)
-            p = 1.0
-        rows.append(
-            {
-                "f_max": f_max,
-                "j_star": sol.J,
-                "lambda_star": sol.lam_star,
-                "p": p,
-                "kind": sol.kind,
-                "threshold_minus": thr_minus,
-                "threshold_plus": thr_plus,
-                "config_digest": digest,
-            }
-        )
+        sol = _solve_or_none(model, f_max, config)
+        row = {"f_max": f_max, "j_star": NAN, "lambda_star": NAN, "p": NAN, "kind": INFEASIBLE,
+               "threshold_minus": "", "threshold_plus": "", "config_digest": digest}
+        if sol is not None:
+            row.update(j_star=sol.J, lambda_star=sol.lam_star, kind=sol.kind,
+                       p=sol.policy.p if sol.is_mixture else 1.0,
+                       threshold_minus=_single_threshold(sol.view_minus),
+                       threshold_plus=_single_threshold(sol.view_plus))
+        rows.append(row)
     cols = ["f_max", "j_star", "lambda_star", "p", "kind",
             "threshold_minus", "threshold_plus", "config_digest"]
     return rows, cols, "thresholds"
+
+
+def _solve_or_none(model, f_max: float, config: SystemConfig):
+    """solve_cmdp at one budget of a grid, or None when the budget cannot be
+    bracketed (F at lambda_max is still above it); the grid goes on."""
+    try:
+        return solve_cmdp(model, f_max, config.lambda_max, config.tolerances.mixture)
+    except BadBracketError:
+        return None
 
 
 def _single_threshold(view) -> str:
@@ -264,20 +264,13 @@ def cmd_compare_estimators(config: SystemConfig, args) -> tuple:
     model_map = cfg_map.build_model()
     model_zoh = cfg_zoh.build_model()
     for f_max in _parse_grid(args.fmax_grid):
-        sol_map = solve_cmdp(model_map, f_max, config.lambda_max, config.tolerances.mixture)
-        sol_zoh = solve_cmdp(model_zoh, f_max, config.lambda_max, config.tolerances.mixture)
-        rows.append(
-            {
-                "f_max": f_max,
-                "j_map": sol_map.J,
-                "j_zoh": sol_zoh.J,
-                "lambda_map": sol_map.lam_star,
-                "lambda_zoh": sol_zoh.lam_star,
-                "kind_map": sol_map.kind,
-                "kind_zoh": sol_zoh.kind,
-                "config_digest": digest,
-            }
-        )
+        row = {"f_max": f_max}
+        for label, model in (("map", model_map), ("zoh", model_zoh)):
+            sol = _solve_or_none(model, f_max, config)
+            row[f"j_{label}"] = NAN if sol is None else sol.J
+            row[f"lambda_{label}"] = NAN if sol is None else sol.lam_star
+            row[f"kind_{label}"] = INFEASIBLE if sol is None else sol.kind
+        rows.append({**row, "config_digest": digest})
     cols = ["f_max", "j_map", "j_zoh", "lambda_map", "lambda_zoh",
             "kind_map", "kind_zoh", "config_digest"]
     return rows, cols, "compare-estimators"

@@ -64,6 +64,7 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     p, act_minus, act_plus = _mixture_parts(policy)
     tx_rate = p * act_minus + (1.0 - p) * act_plus
     reach = reachable_set(induced_kernel(model, tx_rate), model.ref_index)
+    mu = np.zeros(model.num_mdp_states)  # before the factor, as in policy_evaluate
     try:
         factor = _pinned_lu(model, tx_rate, reach)
     except RuntimeError as exc:
@@ -74,7 +75,6 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     resid = np.abs(factor.matrix.T @ sol - rhs[factor.order]).max()
     if not resid <= STATIONARY_TOL:
         raise ConvergenceFailure(f"stationary law balance residual {resid:.2e}")
-    mu = np.zeros(model.num_mdp_states)
     mu[reach] = np.clip(sol[:-1], 0.0, None)
     mu /= mu.sum()
 

@@ -275,6 +275,14 @@ class SystemModel:
 
         return fill_order(self)
 
+    @functools.cached_property
+    def pinned_pattern(self):
+        """CSC structure every pinned system of this model is filled into,
+        made on the first factorization (``solver.pinned_pattern``)."""
+        from .solver import pinned_pattern  # local: solver imports this module
+
+        return pinned_pattern(self)
+
     def encode(self, x, z, theta, delta):
         """Dense index of (x, z, theta, delta); accepts arrays."""
         n, tm, dm = self.n_states, self.theta_max, self.delta_max

@@ -14,10 +14,12 @@ share one direct solve: a sparse LU of the pinned bordered system
 [[I - K(q), 1], [e_ref, 0]], where K(q) is the kernel induced by a per-state
 transmit probability q and the bias is pinned to zero at the model's
 reference state.  Every such system of one model has its nonzeros inside
-the same pattern, so one fill-reducing column order is computed per model,
-on the first factorization, and every factor after it reuses that order
-instead of ordering its own matrix.  The same pinned solve yields J and F
-of the policy, so SPI's callers read them from its ``GainBias``.
+one CSC pattern, so the pattern and a fill-reducing column order are made
+once per model, on the first factorization; every factor after it is one
+numeric fill of that pattern, columns already in that order, and SuperLU
+neither assembles nor orders the matrix again.  The same pinned solve
+yields J and F of the policy, so SPI's callers read them from its
+``GainBias``.
 The improvement pass, the threshold view and the structural checks work on
 the (triples, delta_max + 1) reshape of the state space, one row per
 (x, z, theta) triple, with no Python loop; SPI, RVI and the submodularity
@@ -182,51 +184,95 @@ def induced_kernel(model: SystemModel, tx_prob: np.ndarray) -> sp.csr_matrix:
     ``tx_prob`` is the per-state transmit probability q: the 0/1 action
     table of a deterministic policy, or the coin-weighted table of a mixture.
     """
-    rows, cols, probs = _kernel_entries(model, tx_prob)
+    probs = _kernel_values(model, tx_prob)
+    rows, cols = _pinned_entries(model)
+    keep = np.flatnonzero(probs)
     s_count = model.num_mdp_states
-    return sp.csr_matrix((probs, (rows, cols)), shape=(s_count, s_count))
+    return sp.csr_matrix((probs[keep], (rows[keep], cols[keep])), shape=(s_count, s_count))
 
 
-def _kernel_entries(model: SystemModel, tx_prob: np.ndarray):
-    """COO triplets of K(q) gathered from the model's targets; zeros dropped."""
-    s_count, n = model.idle_targets.shape
+def _kernel_values(model: SystemModel, tx_prob: np.ndarray) -> np.ndarray:
+    """K(q) at its triplets, the leading entries of ``_pinned_entries``."""
     w = model.p_s * np.asarray(tx_prob, dtype=float)
-    rows = np.tile(np.repeat(np.arange(s_count, dtype=np.int32), n), 2)
-    cols = np.concatenate([model.idle_targets.ravel(), model.succ_targets.ravel()])
-    cols = cols.astype(np.int32, copy=False)
-    probs = np.concatenate(
+    return np.concatenate(
         [
             ((1.0 - w)[:, None] * model.source_rows).ravel(),
             (w[:, None] * model.source_rows).ravel(),
         ]
     )
-    keep = probs != 0.0
-    return rows[keep], cols[keep], probs[keep]
 
 
-def _bordered(rows, cols, probs, s_ref: int, pos: np.ndarray) -> sp.csc_matrix:
-    """M = [[I - K, 1], [e_ref, 0]] from K's triplets, column c stored at pos[c]."""
-    m = pos.size - 1
+def _pinned_entries(model: SystemModel):
+    """Row and column of every entry of M = [[I - K(q), 1], [e_ref, 0]] over
+    every q: the idle, then the success targets of each state (pinned ones
+    too), then the identity, the border column and the border row."""
+    m, n = model.idle_targets.shape
     diag = np.arange(m)
-    return sp.csc_matrix(
-        (
-            np.concatenate([-probs, np.ones(2 * m + 1)]),
-            (
-                np.concatenate([rows, diag, diag, [m]]),
-                pos[np.concatenate([cols, diag, np.full(m, m), [s_ref]])],
-            ),
-        ),
-        shape=(m + 1, m + 1),
+    rows = np.concatenate([np.tile(np.repeat(diag, n), 2), diag, diag, [m]], dtype=np.int32)
+    cols = np.concatenate(
+        [model.idle_targets.ravel(), model.succ_targets.ravel(), diag, np.full(m, m), [model.ref_index]],
+        dtype=np.int32,
     )
+    return rows, cols
 
 
 def fill_order(model: SystemModel) -> np.ndarray:
     """COLAMD column order of the pinned system over the union pattern of
     every switching policy and mixture (``SystemModel.pinned_order``)."""
-    rows, cols, probs = _kernel_entries(model, 0.5 * ~model.idle_pinned)
-    identity = np.arange(model.num_mdp_states + 1)
-    matrix = _bordered(rows, cols, probs, model.ref_index, identity)
+    rows, cols = _pinned_entries(model)
+    probs = _kernel_values(model, 0.5 * ~model.idle_pinned)
+    data = np.concatenate([-probs, np.ones(rows.size - probs.size)])
+    keep = np.flatnonzero(data)
+    size = model.num_mdp_states + 1
+    matrix = sp.csc_matrix((data[keep], (rows[keep], cols[keep])), shape=(size, size))
+    del rows, cols, probs, data, keep  # the peak memory is set inside splu
     return np.argsort(spla.splu(matrix, relax=1, panel_size=1).perm_c)
+
+
+def pinned_pattern(model: SystemModel):
+    """Sorted CSC structure of every pinned system of the model, columns in
+    ``pinned_order`` (``SystemModel.pinned_pattern``): ``indices``,
+    ``indptr``, and the data slot of each of ``_pinned_entries``, split into
+    K's triplets and the unit entries."""
+    rows, cols = _pinned_entries(model)
+    size = model.num_mdp_states + 1
+    pos = np.argsort(model.pinned_order)  # column c of M is stored at pos[c]
+    keys, slot = np.unique(pos[cols] * size + rows, return_inverse=True)
+    slot = slot.astype(np.int32)
+    k = 2 * model.idle_targets.size
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    return (keys % size).astype(np.int32), indptr.astype(np.int32), slot[:k], slot[k:]
+
+
+def _pinned_matrix(model: SystemModel, tx_prob: np.ndarray, states=None):
+    """M[:, order] for transmit probability q, one numeric fill of the
+    model's ``pinned_pattern``, and its column order ``order``.
+
+    ``states``, when given, is a closed set of the chain containing the
+    reference state; rows and columns off it are masked out and the rest
+    renumbered in their own order, so the indices stay sorted.
+    """
+    indices, indptr, k_slot, const_slot = model.pinned_pattern
+    data = -np.bincount(k_slot, _kernel_values(model, tx_prob), indices.size)
+    data[const_slot] += 1.0
+    order = model.pinned_order
+    if states is None:
+        # eliminate_zeros works in place: keep the cached pattern intact.
+        indices, indptr = indices.copy(), indptr.copy()
+    else:
+        keep = np.zeros(order.size, dtype=bool)
+        keep[states] = True
+        keep[-1] = True
+        local = np.cumsum(keep, dtype=np.int32) - 1
+        cols = keep[order]
+        entry = keep[indices] & np.repeat(cols, np.diff(indptr))
+        ends = np.concatenate([[0], np.cumsum(entry, dtype=np.int32)])[indptr[1:]]
+        data, indices = data[entry], local[indices[entry]]
+        indptr = np.concatenate([[0], ends[cols]]).astype(np.int32)
+        order = local[order[cols]]
+    matrix = sp.csc_matrix((data, indices, indptr), shape=(order.size, order.size))
+    matrix.eliminate_zeros()
+    return matrix, order
 
 
 @dataclass
@@ -254,25 +300,12 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None):
     with h = 0 at the model's reference state, and M^T [mu; 0] = [0; 1] is
     the stationary law.  ``states``, when given, is a closed set of the
     chain containing the reference state and the system is restricted to
-    it.  Columns are factored in the model's ``pinned_order`` (restricted to
-    ``states``, keeping its relative order), so SuperLU skips its own
-    ordering.  Returns a ``_PinnedFactor``; raises
+    it.  The matrix is one numeric fill of the model's ``pinned_pattern``
+    (``_pinned_matrix``), its columns already in ``pinned_order``, so
+    SuperLU skips its own ordering.  Returns a ``_PinnedFactor``; raises
     RuntimeError when M is exactly singular.
     """
-    rows, cols, probs = _kernel_entries(model, tx_prob)
-    s_ref, order = model.ref_index, model.pinned_order
-    if states is not None:
-        m = model.num_mdp_states
-        local = np.full(m + 1, -1, dtype=np.int32)
-        local[states] = np.arange(states.size)
-        local[m] = states.size
-        keep = local[rows] >= 0
-        rows, cols, probs = local[rows[keep]], local[cols[keep]], probs[keep]
-        s_ref = int(local[s_ref])
-        order = local[order]
-        order = order[order >= 0]
-    matrix = _bordered(rows, cols, probs, s_ref, np.argsort(order))
-    del rows, cols, probs  # the process's peak memory is set inside splu
+    matrix, order = _pinned_matrix(model, tx_prob, states)
     # relax = panel_size = 1 keep SuperLU's working memory down: at
     # S = 24 025 one factor raises the peak by about 18 MiB against 25 MiB
     # with the defaults, and a price sweep there runs no slower.
@@ -311,6 +344,10 @@ def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float)
     q = policy.actions.astype(float)
     costs = _stage_costs(model, lam, policy.actions)
     rhs = np.vstack([costs.T, np.zeros((1, 3))])
+    # The bias outlives the factor, so it is allocated first: placed above
+    # SuperLU's freed work memory it would keep the heap from shrinking, and
+    # the peak resident memory of a constrained solve creeps up by MiBs.
+    bias = np.empty(model.num_mdp_states)
     try:
         factor = _pinned_lu(model, q)
     except RuntimeError:  # exactly singular
@@ -320,9 +357,10 @@ def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float)
     if not resid <= RESIDUAL_TOL:
         return _evaluate_on_class(model, q, lam, costs)
     gain, j, f = sol[-1]
+    bias[:] = sol[:-1, 0]
     return GainBias(
         gain=float(gain),
-        bias=np.ascontiguousarray(sol[:-1, 0]),
+        bias=bias,
         lam=lam,
         j_component=float(j),
         f_component=float(f),
@@ -410,19 +448,17 @@ def spi_solve(
     lam: float,
     policy0: DeterministicPolicy | None = None,
 ) -> tuple[DeterministicPolicy, GainBias, ThresholdView]:
-    """Structured policy iteration from the never-transmit policy.
+    """Structured policy iteration from the reactive policy.
 
     Alternates exact evaluation with the structured improvement pass until
     the policy is a fixed point, and returns it with its evaluation and view.
-    A warm start (policy0) only changes the path, not the fixed point.
+    The reactive start keeps the first evaluation off the class route on
+    the hold-last-value model, where never-transmit is multichain.  A warm
+    start (policy0) only changes the path, not the fixed point.
     """
     if lam < 0:
         raise DomainError("transmission price must be nonnegative")
-    actions = (
-        policy0.actions.copy()
-        if policy0 is not None
-        else np.zeros(model.num_mdp_states, dtype=np.uint8)
-    )
+    actions = (policy0 if policy0 is not None else reactive_policy(model)).actions.copy()
     for _ in range(SPI_MAX_PASSES):
         policy = DeterministicPolicy(actions)
         gb = policy_evaluate(model, policy, lam)

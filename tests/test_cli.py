@@ -1,9 +1,10 @@
 import copy
 import json
+import math
 
 import pytest
 
-from remest import SystemConfig, ConfigError, solve_cmdp
+from remest import BadBracketError, SystemConfig, ConfigError, solve_cmdp
 from remest.cli import emit_results, main
 
 BASE_DOC = {
@@ -230,3 +231,44 @@ def test_spi_pass_cap_exits_three(config_path, capsys, monkeypatch):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConvergenceFailure"
+
+
+def test_infeasible_budget_keeps_the_grid(tmp_path):
+    # On this config f = 0.05 cannot be bracketed (F at lambda_max is
+    # 0.0542); the default grid's five other budgets are still reported.
+    config = "configs/symmetric_three.json"
+    cfg = SystemConfig.from_file(config)
+    models = {
+        "map": cfg.build_model(),
+        "zoh": cfg.with_overrides(theta_max=1, estimator="zoh").build_model(),
+    }
+    grid = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+    expected = {}
+    for label, model in models.items():
+        with pytest.raises(BadBracketError):
+            solve_cmdp(model, grid[0], cfg.lambda_max, cfg.tolerances.mixture)
+        for f in grid[1:]:
+            sol = solve_cmdp(model, f, cfg.lambda_max, cfg.tolerances.mixture)
+            expected[label, f] = (sol.kind, sol.J, sol.lam_star)
+
+    def records(command):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", config, "--format", "json", "--out", str(out)]) == 0
+        recs = json.loads(out.read_text())["records"]
+        assert [r["f_max"] for r in recs] == grid
+        return recs
+
+    def check(f, got, label):
+        if f == grid[0]:
+            assert got[0] == "infeasible"
+            assert all(math.isnan(v) for v in got[1:])
+        else:
+            assert got == expected[label, f]
+
+    for rec in records("thresholds"):
+        check(rec["f_max"], (rec["kind"], rec["j_star"], rec["lambda_star"]), "map")
+        assert math.isnan(rec["p"]) == (rec["f_max"] == grid[0])
+    for rec in records("compare-estimators"):
+        for label in models:
+            got = tuple(rec[f"{k}_{label}"] for k in ("kind", "j", "lambda"))
+            check(rec["f_max"], got, label)

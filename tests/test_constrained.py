@@ -189,3 +189,16 @@ def test_delayed_budget_at_delta_max_two(main_config):
     assert abs(sol.F - 0.1) <= 1e-6
     assert check_switching_structure(sol.policy.policy_minus, model) == []
     assert check_switching_structure(sol.policy.policy_plus, model) == []
+
+
+@pytest.mark.parametrize("fixture", ["main_model", "zoh_model", "paper_model", "paper_zoh_model"])
+def test_budget_above_reactive_frequency_is_free(fixture, request, solved_main):
+    # Budgets above the reactive policy's F (0.3441 and 0.3174 under the
+    # delayed timing) bind nothing: the zero-price policy is optimal.
+    model = request.getfixturevalue(fixture)
+    reactive = stationary_metrics(model, reactive_policy(model))
+    for f_max in (0.35, 0.5):
+        sol = solved_main(model, f_max)
+        assert sol.kind == "deterministic"
+        assert sol.lam_star == 0.0
+        assert abs(sol.J - reactive.J) <= 1e-8

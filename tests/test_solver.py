@@ -23,7 +23,7 @@ from remest import (
     symmetric_chain,
     validate_chain,
 )
-from remest.solver import induced_kernel, reachable_set
+from remest.solver import RESIDUAL_TOL, _pinned_matrix, induced_kernel, reachable_set
 from conftest import MAIN_ROWS, main_age_function, small_random_model
 
 
@@ -480,3 +480,102 @@ def test_threshold_view_matches_loop_reference(fixture, request):
                 type(v) for v in expected.values()
             ]
             assert view.reconstruct(model).same_as(policy)
+
+
+def coo_pinned_matrix(model, tx_prob, states=None):
+    """Reference assembly of M[:, order] through COO, one matrix at a time:
+    K(q)'s nonzero triplets gathered from the targets, restricted to
+    ``states`` by renumbering, then the identity and the border."""
+    s_count, n = model.idle_targets.shape
+    w = model.p_s * np.asarray(tx_prob, dtype=float)
+    rows = np.tile(np.repeat(np.arange(s_count), n), 2)
+    cols = np.concatenate([model.idle_targets.ravel(), model.succ_targets.ravel()])
+    probs = np.concatenate(
+        [((1.0 - w)[:, None] * model.source_rows).ravel(), (w[:, None] * model.source_rows).ravel()]
+    )
+    keep = probs != 0.0
+    rows, cols, probs = rows[keep], cols[keep], probs[keep]
+    s_ref, order = model.ref_index, model.pinned_order
+    if states is not None:
+        local = np.full(s_count + 1, -1)
+        local[states] = np.arange(states.size)
+        local[s_count] = states.size
+        keep = local[rows] >= 0
+        rows, cols, probs = local[rows[keep]], local[cols[keep]], probs[keep]
+        s_ref = local[s_ref]
+        order = local[order]
+        order = order[order >= 0]
+    m = order.size - 1
+    pos = np.argsort(order)
+    diag = np.arange(m)
+    matrix = sp.csc_matrix(
+        (
+            np.concatenate([-probs, np.ones(2 * m + 1)]),
+            (
+                np.concatenate([rows, diag, diag, [m]]),
+                pos[np.concatenate([cols, diag, np.full(m, m), [s_ref]])],
+            ),
+        ),
+        shape=(m + 1, m + 1),
+    )
+    return matrix, order
+
+
+def assert_same_csc(a, b):
+    # The same sorted arrays mean equal dense matrices and the same sparsity,
+    # and so the same LU; a dense pair at S = 3 969 would take 250 MB.
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("fixture", ["main_model", "paper_model", "zoh_model"])
+def test_pattern_fill_matches_coo_reference(fixture, request, solved_main):
+    model = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(5)
+    mix = solved_main(model, 0.1).policy
+    cases = [
+        never_transmit_policy(model).actions,
+        reactive_policy(model).actions,
+        # Random tables transmit at pinned states too, as RVI's policies may.
+        rng.integers(0, 2, model.num_mdp_states),
+        rng.integers(0, 2, model.num_mdp_states),
+        mix.p * mix.policy_minus.actions + (1.0 - mix.p) * mix.policy_plus.actions,
+    ]
+    assert cases[2][model.idle_pinned].any()
+    built = []
+    for q in cases:
+        q = np.asarray(q, dtype=float)
+        reach = reachable_set(induced_kernel(model, q), model.ref_index)
+        for states in (None, reach):
+            matrix, order = _pinned_matrix(model, q, states)
+            expected, expected_order = coo_pinned_matrix(model, q, states)
+            assert_same_csc(matrix, expected)
+            assert np.array_equal(order, expected_order)
+            built.append((matrix.copy(), matrix, expected))
+    # Later fills must leave earlier matrices, and the cached pattern, alone.
+    for kept, matrix, expected in built:
+        assert_same_csc(matrix, kept)
+        assert_same_csc(matrix, expected)
+
+
+def test_pattern_made_on_first_factor_and_reused():
+    model = small_random_model(np.random.default_rng(3))
+    assert "pinned_pattern" not in vars(model)
+    policy_evaluate(model, reactive_policy(model), 2.0)
+    pattern = vars(model)["pinned_pattern"]
+    spi_solve(model, 2.0)
+    stationary_metrics(model, never_transmit_policy(model))
+    assert vars(model)["pinned_pattern"] is pattern
+    # int32 throughout: the pattern lives as long as the model.
+    assert [a.dtype for a in pattern] == [np.dtype(np.int32)] * 4
+
+
+def test_class_route_still_taken_at_high_price(main_config):
+    # SPI iterates at high prices reach never-transmit on delta_max = 2, so
+    # the reactive start does not make the class route dead code.
+    model = main_config.with_overrides(delta_max=2).build_model(timing="delayed")
+    gb = policy_evaluate(model, never_transmit_policy(model), 1000.0)
+    assert gb.method == "class-solve"
+    assert gb.residual <= RESIDUAL_TOL
