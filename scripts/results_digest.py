@@ -5,6 +5,11 @@ Writes JSON with, for the MAP and ZOH models of a config under both slot
 timings, the sha256 of the ``spi_solve`` action table and its gain, J and F
 at every price in 0, 0.5, ..., 20, and the ``solve_cmdp`` result (kind,
 lambda*, p, J, F, or the error raised) at every budget in 0.05, ..., 0.30.
+Each budget also carries the sha256 of the solution's action tables (the
+two pieces of a mixture) and, from ``stationary_metrics`` of its policy, the
+sha256 of the reachable set with F and J.  One point of the class route is
+added: never-transmit at price 1000 on ``delta_max = 2`` under the delayed
+timing, with the route taken, gain, J and F.
 
     python scripts/results_digest.py --out new.json
     PYTHONPATH=/path/to/other/checkout/src python scripts/results_digest.py --out old.json
@@ -33,8 +38,21 @@ def _models(config):
             yield f"{name}/{timing}", cfg.build_model(timing=timing)
 
 
+def _sha256(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
 def digest(config_path: str) -> dict:
-    from remest import RemestError, SystemConfig, solve_cmdp, spi_solve  # --compare needs none
+    # --compare needs none of these
+    from remest import (
+        RemestError,
+        SystemConfig,
+        never_transmit_policy,
+        policy_evaluate,
+        solve_cmdp,
+        spi_solve,
+        stationary_metrics,
+    )
 
     config = SystemConfig.from_file(config_path)
     points, budgets = {}, {}
@@ -42,7 +60,7 @@ def digest(config_path: str) -> dict:
         for lam in PRICES:
             policy, gb, _ = spi_solve(model, lam)
             points[f"{label}/lam={lam}"] = {
-                "actions_sha256": hashlib.sha256(policy.actions.tobytes()).hexdigest(),
+                "actions_sha256": _sha256(policy.actions),
                 "gain": gb.gain,
                 "J": gb.j_component,
                 "F": gb.f_component,
@@ -54,21 +72,42 @@ def digest(config_path: str) -> dict:
             except RemestError as exc:
                 budgets[key] = {"error": type(exc).__name__}
                 continue
+            pieces = (
+                (sol.policy.policy_minus, sol.policy.policy_plus)
+                if sol.is_mixture
+                else (sol.policy, sol.policy)
+            )
+            met = stationary_metrics(model, sol.policy)
             budgets[key] = {
                 "kind": sol.kind,
                 "lam_star": sol.lam_star,
                 "p": sol.policy.p if sol.is_mixture else 1.0,
                 "J": sol.J,
                 "F": sol.F,
+                "minus_sha256": _sha256(pieces[0].actions),
+                "plus_sha256": _sha256(pieces[1].actions),
+                "reachable_sha256": _sha256(met.reachable),
+                "stationary_J": met.J,
+                "stationary_F": met.F,
             }
-    return {"points": points, "budgets": budgets}
+    model = config.with_overrides(delta_max=2).build_model(timing="delayed")
+    gb = policy_evaluate(model, never_transmit_policy(model), 1000.0)
+    route = {
+        "map/delayed/delta_max=2/never/lam=1000": {
+            "method": gb.method,
+            "gain": gb.gain,
+            "J": gb.j_component,
+            "F": gb.f_component,
+        }
+    }
+    return {"points": points, "budgets": budgets, "class_route": route}
 
 
 def compare(old: dict, new: dict) -> int:
     """Print the differences of two digests; return the exit code."""
     failed = False
     worst, worst_at = 0.0, ""
-    for section in ("points", "budgets"):
+    for section in ("points", "budgets", "class_route"):
         a, b = old[section], new[section]
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:

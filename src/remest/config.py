@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -172,11 +172,7 @@ class SystemConfig:
             "delta_max": self.delta_max,
             "f_max": self.f_max,
             "lambda_max": self.lambda_max,
-            "tolerances": {
-                "eval": self.tolerances.eval,
-                "search": self.tolerances.search,
-                "mixture": self.tolerances.mixture,
-            },
+            "tolerances": asdict(self.tolerances),
             "seed": self.seed,
             "estimator": self.estimator,
         }

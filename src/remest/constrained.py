@@ -131,8 +131,9 @@ def intersection_step(point_minus, point_plus):
 
 
 class _PointSolver:
-    """SPI per price, with warm starts and caching.  J and F are read from the
-    solved policy's ``GainBias``, not from a second (stationary) solve."""
+    """SPI per price, with warm starts and caching.  Each entry is (policy,
+    view, SearchPoint); J and F are read from the solved policy's
+    ``GainBias``, not from a second (stationary) solve."""
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -145,10 +146,40 @@ class _PointSolver:
             return self.cache[lam]
         policy, gb, view = spi_solve(self.model, lam, policy0=self._warm_policy)
         j, f = gb.j_component, gb.f_component
-        entry = (policy, view, gb, SearchPoint(lam=lam, J=j, F=f, L=j + lam * f))
+        entry = (policy, view, SearchPoint(lam=lam, J=j, F=f, L=j + lam * f))
         self.cache[lam] = entry
         self._warm_policy = policy
         return entry
+
+
+def _open_bracket(model: SystemModel, f_max: float, lambda_max: float, method: str):
+    """Start a price search: check f_max, solve at price 0 and, unless that
+    fits the budget (then traced), at lambda_max.  Returns the point solver,
+    the trace and both entries, the second None when price 0 fits.  Raises
+    BadBracketError when lambda_max still over-transmits."""
+    if not (0.0 < f_max <= 1.0):
+        raise DomainError(f"f_max {f_max} outside (0, 1]")
+    ps = _PointSolver(model)
+    trace = SearchTrace(method=method)
+    first = ps.solve(0.0)
+    if first[-1].F <= f_max:
+        trace.record(first[-1], (0.0, 0.0))
+        return ps, trace, first, None
+    last = ps.solve(lambda_max)
+    if last[-1].F >= f_max:
+        raise BadBracketError(
+            f"F at lambda_max is {last[-1].F:.6f} >= budget {f_max}; raise lambda_max"
+        )
+    return ps, trace, first, last
+
+
+def _deterministic(lam_star: float, entry, trace: SearchTrace) -> ConstrainedSolution:
+    """The constrained solution that is the solved policy of ``entry``."""
+    policy, view, pt = entry
+    return ConstrainedSolution(
+        kind="deterministic", lam_star=lam_star, policy=policy,
+        F=pt.F, J=pt.J, trace=trace, view_plus=view,
+    )
 
 
 def bisection_solve(
@@ -162,24 +193,13 @@ def bisection_solve(
     Halves the bracket by the sign of F - f_max until it is narrower than
     epsilon_tol; the iteration count is ceil(log2(lambda_max/epsilon_tol)).
     """
-    if not (0.0 < f_max <= 1.0):
-        raise DomainError(f"f_max {f_max} outside (0, 1]")
-    ps = _PointSolver(model)
-    trace = SearchTrace(method="bisection")
-
-    _, _, _, p0 = ps.solve(0.0)
-    if p0.F <= f_max:
-        trace.record(p0, (0.0, 0.0))
+    ps, trace, _, last = _open_bracket(model, f_max, lambda_max, "bisection")
+    if last is None:
         return 0.0, trace
-    _, _, _, pmax = ps.solve(lambda_max)
-    if pmax.F >= f_max:
-        raise BadBracketError(
-            f"F at lambda_max is {pmax.F:.6f} >= budget {f_max}; raise lambda_max"
-        )
     lo, hi = 0.0, float(lambda_max)
     while hi - lo >= epsilon_tol:
         mid = 0.5 * (lo + hi)
-        _, _, _, pt = ps.solve(mid)
+        pt = ps.solve(mid)[-1]
         if pt.F >= f_max:
             lo = mid
         else:
@@ -291,26 +311,11 @@ def solve_cmdp(
     curve, in which case the two policies just below and above the critical
     price are mixed.
     """
-    if not (0.0 < f_max <= 1.0):
-        raise DomainError(f"f_max {f_max} outside (0, 1]")
-    ps = _PointSolver(model)
-    trace = SearchTrace(method="intersection")
+    ps, trace, first, last = _open_bracket(model, f_max, lambda_max, "intersection")
+    if last is None:
+        return _deterministic(0.0, first, trace)
 
-    pol0, view0, _, p0 = ps.solve(0.0)
-    if p0.F <= f_max:
-        trace.record(p0, (0.0, 0.0))
-        return ConstrainedSolution(
-            kind="deterministic", lam_star=0.0, policy=pol0,
-            F=p0.F, J=p0.J, trace=trace, view_plus=view0,
-        )
-
-    _, _, _, pmax = ps.solve(lambda_max)
-    if pmax.F >= f_max:
-        raise BadBracketError(
-            f"F at lambda_max is {pmax.F:.6f} >= budget {f_max}; raise lambda_max"
-        )
-
-    lo, hi = p0, pmax
+    lo, hi = first[-1], last[-1]
     lam_star = None
     for _ in range(SEARCH_MAX_STEPS):
         if lo.F <= f_max or hi.F > f_max:
@@ -318,15 +323,13 @@ def solve_cmdp(
                 f"bracket frequencies [{hi.F:.6f}, {lo.F:.6f}] no longer straddle {f_max}"
             )
         lam_next, l_tilde = intersection_step(lo.as_tuple(), hi.as_tuple())
-        pol_n, view_n, _, pt = ps.solve(lam_next)
+        entry = ps.solve(lam_next)
+        pt = entry[-1]
         trace.record(pt, (lo.lam, hi.lam))
         if abs(pt.F - f_max) <= F_MATCH_TOL:
             # The budget sits on this segment: the solved policy is optimal
             # with equality, no mixing needed.
-            return ConstrainedSolution(
-                kind="deterministic", lam_star=lam_next, policy=pol_n,
-                F=pt.F, J=pt.J, trace=trace, view_plus=view_n,
-            )
+            return _deterministic(lam_next, entry, trace)
         if abs(pt.L - l_tilde) <= L_MATCH_RTOL * max(1.0, abs(pt.L)):
             lam_star = lam_next
             break
@@ -340,19 +343,12 @@ def solve_cmdp(
     eps = max(epsilon_mix, epsilon_mix * lam_star)
     lam_minus = max(lam_star - eps, 0.0)
     lam_plus = lam_star + eps
-    pol_m, view_m, _, pt_m = ps.solve(lam_minus)
-    pol_p, view_p, _, pt_p = ps.solve(lam_plus)
+    minus, plus = ps.solve(lam_minus), ps.solve(lam_plus)
     trace.extras["epsilon"] = eps
-    if abs(pt_p.F - f_max) <= F_MATCH_TOL:
-        return ConstrainedSolution(
-            kind="deterministic", lam_star=lam_star, policy=pol_p,
-            F=pt_p.F, J=pt_p.J, trace=trace, view_plus=view_p,
-        )
-    if abs(pt_m.F - f_max) <= F_MATCH_TOL:
-        return ConstrainedSolution(
-            kind="deterministic", lam_star=lam_star, policy=pol_m,
-            F=pt_m.F, J=pt_m.J, trace=trace, view_plus=view_m,
-        )
+    for entry in (plus, minus):
+        if abs(entry[-1].F - f_max) <= F_MATCH_TOL:
+            return _deterministic(lam_star, entry, trace)
+    (pol_m, view_m, pt_m), (pol_p, view_p, pt_p) = minus, plus
     mix = build_mixture(model, pol_m, pol_p, f_max, f_minus=pt_m.F, f_plus=pt_p.F)
     trace.extras["p_linear"] = mix.p_linear
     trace.extras["p_recalibrated"] = mix.p

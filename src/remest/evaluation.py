@@ -10,7 +10,7 @@ pair-reset rule) so their gap is measured instead of guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,9 +20,7 @@ from .solver import (
     DeterministicPolicy,
     GainBias,
     ThresholdView,
-    _pinned_lu,
-    induced_kernel,
-    reachable_set,
+    _class_lu,
     spi_solve,
 )
 
@@ -59,23 +57,20 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
 
     The stationary law is solved directly on the class reachable from the
     reference state, with the pinned LU that policy evaluation uses
-    (transposed); states outside that class carry exactly zero mass.
+    (transposed), K's rows off that class masked out (``solver._class_lu``);
+    states outside the class carry exactly zero mass.
     """
     p, act_minus, act_plus = _mixture_parts(policy)
     tx_rate = p * act_minus + (1.0 - p) * act_plus
-    reach = reachable_set(induced_kernel(model, tx_rate), model.ref_index)
-    mu = np.zeros(model.num_mdp_states)  # before the factor, as in policy_evaluate
-    try:
-        factor = _pinned_lu(model, tx_rate, reach)
-    except RuntimeError as exc:
-        raise ConvergenceFailure(f"stationary law solve failed: {exc}") from exc
-    rhs = np.zeros(reach.size + 1)
+    mu = np.empty(model.num_mdp_states)  # before the factor, as in policy_evaluate
+    _, reach, factor = _class_lu(model, tx_rate)
+    rhs = np.zeros(mu.size + 1)
     rhs[-1] = 1.0
     sol = factor.solve(rhs, trans="T")
     resid = np.abs(factor.matrix.T @ sol - rhs[factor.order]).max()
     if not resid <= STATIONARY_TOL:
         raise ConvergenceFailure(f"stationary law balance residual {resid:.2e}")
-    mu[reach] = np.clip(sol[:-1], 0.0, None)
+    np.clip(sol[:-1], 0.0, None, out=mu)
     mu /= mu.sum()
 
     cost_minus = np.where(act_minus.astype(bool), model.tx_cost, model.idle_cost)
@@ -224,19 +219,7 @@ class SimReport:
     n_batches: int
 
     def as_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "empirical_F": self.empirical_F,
-            "empirical_J_model": self.empirical_J_model,
-            "empirical_J_strict": self.empirical_J_strict,
-            "se_F": self.se_F,
-            "se_J_model": self.se_J_model,
-            "se_J_strict": self.se_J_strict,
-            "channel_success_rate": self.channel_success_rate,
-            "transmissions": self.transmissions,
-            "n_batches": self.n_batches,
-        }
+        return asdict(self)
 
 
 def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:

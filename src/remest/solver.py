@@ -17,9 +17,12 @@ reference state.  Every such system of one model has its nonzeros inside
 one CSC pattern, so the pattern and a fill-reducing column order are made
 once per model, on the first factorization; every factor after it is one
 numeric fill of that pattern, columns already in that order, and SuperLU
-neither assembles nor orders the matrix again.  The same pinned solve
-yields J and F of the policy, so SPI's callers read them from its
-``GainBias``.
+neither assembles nor orders the matrix again.  On a chain with several
+closed classes, the class of the reference state is a row mask of that same
+fill (K's rows off it zeroed), not a second system.  K(q) is listed row by
+row, so the kernel the class search walks is a CSR made with no sort.  The
+same pinned solve yields J and F of the policy, so SPI's callers read them
+from its ``GainBias``.
 The improvement pass, the threshold view and the structural checks work on
 the (triples, delta_max + 1) reshape of the state space, one row per
 (x, z, theta) triple, with no Python loop; SPI, RVI and the submodularity
@@ -183,36 +186,35 @@ def induced_kernel(model: SystemModel, tx_prob: np.ndarray) -> sp.csr_matrix:
 
     ``tx_prob`` is the per-state transmit probability q: the 0/1 action
     table of a deterministic policy, or the coin-weighted table of a mixture.
+    Row s is state s's 2n ``_kernel_values`` as listed, with no sort: an
+    idle and a success entry to one target stay two entries of the row.
     """
     probs = _kernel_values(model, tx_prob)
-    rows, cols = _pinned_entries(model)
-    keep = np.flatnonzero(probs)
     s_count = model.num_mdp_states
-    return sp.csr_matrix((probs[keep], (rows[keep], cols[keep])), shape=(s_count, s_count))
+    cols = _pinned_entries(model)[1][: probs.size]
+    indptr = np.arange(0, probs.size + 1, probs.size // s_count)
+    kernel = sp.csr_matrix((probs, cols, indptr), shape=(s_count, s_count))
+    kernel.eliminate_zeros()  # csgraph counts explicit zeros as edges
+    return kernel
 
 
 def _kernel_values(model: SystemModel, tx_prob: np.ndarray) -> np.ndarray:
-    """K(q) at its triplets, the leading entries of ``_pinned_entries``."""
+    """K(q) at its triplets, the leading entries of ``_pinned_entries``:
+    each state's n idle entries, then its n success entries."""
     w = model.p_s * np.asarray(tx_prob, dtype=float)
-    return np.concatenate(
-        [
-            ((1.0 - w)[:, None] * model.source_rows).ravel(),
-            (w[:, None] * model.source_rows).ravel(),
-        ]
-    )
+    return np.einsum("sj,sk->sjk", np.stack([1.0 - w, w], 1), model.source_rows).ravel()
 
 
 def _pinned_entries(model: SystemModel):
     """Row and column of every entry of M = [[I - K(q), 1], [e_ref, 0]] over
-    every q: the idle, then the success targets of each state (pinned ones
-    too), then the identity, the border column and the border row."""
+    every q: row by row, the idle, then the success targets of each state
+    (pinned ones too), then the identity, the border column and the border
+    row."""
     m, n = model.idle_targets.shape
     diag = np.arange(m)
-    rows = np.concatenate([np.tile(np.repeat(diag, n), 2), diag, diag, [m]], dtype=np.int32)
-    cols = np.concatenate(
-        [model.idle_targets.ravel(), model.succ_targets.ravel(), diag, np.full(m, m), [model.ref_index]],
-        dtype=np.int32,
-    )
+    targets = np.hstack([model.idle_targets, model.succ_targets]).ravel()
+    rows = np.concatenate([np.repeat(diag, 2 * n), diag, diag, [m]], dtype=np.int32)
+    cols = np.concatenate([targets, diag, np.full(m, m), [model.ref_index]], dtype=np.int32)
     return rows, cols
 
 
@@ -249,30 +251,24 @@ def _pinned_matrix(model: SystemModel, tx_prob: np.ndarray, states=None):
     model's ``pinned_pattern``, and its column order ``order``.
 
     ``states``, when given, is a closed set of the chain containing the
-    reference state; rows and columns off it are masked out and the rest
-    renumbered in their own order, so the indices stay sorted.
+    reference state.  K's rows off it are zeroed, so each state off it keeps
+    only its own row h + g = c, which no state of the set reads: the set's
+    equations are those of the restricted chain, and the stationary law is
+    zero off it.
     """
     indices, indptr, k_slot, const_slot = model.pinned_pattern
-    data = -np.bincount(k_slot, _kernel_values(model, tx_prob), indices.size)
+    values = _kernel_values(model, tx_prob)
+    if states is not None:
+        off = np.ones(model.num_mdp_states, dtype=bool)
+        off[states] = False
+        values.reshape(off.size, -1)[off] = 0.0
+    data = -np.bincount(k_slot, values, indices.size)
     data[const_slot] += 1.0
-    order = model.pinned_order
-    if states is None:
-        # eliminate_zeros works in place: keep the cached pattern intact.
-        indices, indptr = indices.copy(), indptr.copy()
-    else:
-        keep = np.zeros(order.size, dtype=bool)
-        keep[states] = True
-        keep[-1] = True
-        local = np.cumsum(keep, dtype=np.int32) - 1
-        cols = keep[order]
-        entry = keep[indices] & np.repeat(cols, np.diff(indptr))
-        ends = np.concatenate([[0], np.cumsum(entry, dtype=np.int32)])[indptr[1:]]
-        data, indices = data[entry], local[indices[entry]]
-        indptr = np.concatenate([[0], ends[cols]]).astype(np.int32)
-        order = local[order[cols]]
-    matrix = sp.csc_matrix((data, indices, indptr), shape=(order.size, order.size))
+    size = indptr.size - 1
+    # eliminate_zeros works in place: keep the cached pattern intact.
+    matrix = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
     matrix.eliminate_zeros()
-    return matrix, order
+    return matrix, model.pinned_order
 
 
 @dataclass
@@ -299,11 +295,11 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None):
     The unknowns are (bias, gain): M [h; g] = [c; 0] is the gain/bias system
     with h = 0 at the model's reference state, and M^T [mu; 0] = [0; 1] is
     the stationary law.  ``states``, when given, is a closed set of the
-    chain containing the reference state and the system is restricted to
-    it.  The matrix is one numeric fill of the model's ``pinned_pattern``
-    (``_pinned_matrix``), its columns already in ``pinned_order``, so
-    SuperLU skips its own ordering.  Returns a ``_PinnedFactor``; raises
-    RuntimeError when M is exactly singular.
+    chain containing the reference state, and K's rows off it are masked
+    out (``_pinned_matrix``); the system keeps its full size.  The matrix is
+    one numeric fill of the model's ``pinned_pattern``, its columns already
+    in ``pinned_order``, so SuperLU skips its own ordering.  Returns a
+    ``_PinnedFactor``; raises RuntimeError when M is exactly singular.
     """
     matrix, order = _pinned_matrix(model, tx_prob, states)
     # relax = panel_size = 1 keep SuperLU's working memory down: at
@@ -311,6 +307,18 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None):
     # with the defaults, and a price sweep there runs no slower.
     lu = spla.splu(matrix, permc_spec="NATURAL", relax=1, panel_size=1)
     return _PinnedFactor(matrix, lu, order)
+
+
+def _class_lu(model: SystemModel, tx_prob: np.ndarray):
+    """K(q), the closed class reachable from the reference state, and the
+    LU of the pinned system masked to that class (``_pinned_lu``).  Raises
+    ConvergenceFailure when that system is singular."""
+    kernel = induced_kernel(model, tx_prob)
+    reach = reachable_set(kernel, model.ref_index)
+    try:
+        return kernel, reach, _pinned_lu(model, tx_prob, reach)
+    except RuntimeError as exc:  # exactly singular
+        raise ConvergenceFailure(f"class of the reference state is not unichain: {exc}") from exc
 
 
 def reachable_set(kernel: sp.csr_matrix, start: int) -> np.ndarray:
@@ -376,21 +384,15 @@ def _evaluate_on_class(model, q, lam, costs) -> GainBias:
     remaining states against that gain (best effort; their actions get
     corrected by subsequent improvement steps).  The reported residual covers all states.
     """
-    s_count = model.num_mdp_states
-    kernel = induced_kernel(model, q)
-    reach = reachable_set(kernel, model.ref_index)
-    try:
-        factor = _pinned_lu(model, q, reach)
-    except RuntimeError as exc:
-        raise ConvergenceFailure(f"class of the reference state is not unichain: {exc}") from exc
-    sol = factor.solve(np.vstack([costs[:, reach].T, np.zeros((1, 3))]))
+    kernel, reach, factor = _class_lu(model, q)
+    sol = factor.solve(np.vstack([costs.T, np.zeros((1, 3))]))
     if not np.all(np.isfinite(sol)):
         raise ConvergenceFailure("class-restricted evaluation returned non-finite values")
     gain, j, f = sol[-1]
-    bias = np.zeros(s_count)
-    bias[reach] = sol[:-1, 0]
-    off = np.setdiff1d(np.arange(s_count), reach, assume_unique=True)
+    bias = sol[:-1, 0].copy()
+    off = np.setdiff1d(np.arange(bias.size), reach, assume_unique=True)
     if off.size:
+        bias[off] = 0.0
         k_off = kernel[off]
         for _ in range(2000):
             new_off = costs[0][off] - gain + k_off @ bias

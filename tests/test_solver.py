@@ -18,6 +18,7 @@ from remest import (
     policy_evaluate,
     reactive_policy,
     rvi_solve,
+    solve_cmdp,
     spi_solve,
     stationary_metrics,
     symmetric_chain,
@@ -484,8 +485,8 @@ def test_threshold_view_matches_loop_reference(fixture, request):
 
 def coo_pinned_matrix(model, tx_prob, states=None):
     """Reference assembly of M[:, order] through COO, one matrix at a time:
-    K(q)'s nonzero triplets gathered from the targets, restricted to
-    ``states`` by renumbering, then the identity and the border."""
+    K(q)'s nonzero triplets gathered from the targets, only the rows of
+    ``states`` when given, then the identity and the border."""
     s_count, n = model.idle_targets.shape
     w = model.p_s * np.asarray(tx_prob, dtype=float)
     rows = np.tile(np.repeat(np.arange(s_count), n), 2)
@@ -497,14 +498,8 @@ def coo_pinned_matrix(model, tx_prob, states=None):
     rows, cols, probs = rows[keep], cols[keep], probs[keep]
     s_ref, order = model.ref_index, model.pinned_order
     if states is not None:
-        local = np.full(s_count + 1, -1)
-        local[states] = np.arange(states.size)
-        local[s_count] = states.size
-        keep = local[rows] >= 0
-        rows, cols, probs = local[rows[keep]], local[cols[keep]], probs[keep]
-        s_ref = local[s_ref]
-        order = local[order]
-        order = order[order >= 0]
+        keep = np.isin(rows, states)
+        rows, cols, probs = rows[keep], cols[keep], probs[keep]
     m = order.size - 1
     pos = np.argsort(order)
     diag = np.arange(m)
@@ -579,3 +574,36 @@ def test_class_route_still_taken_at_high_price(main_config):
     gb = policy_evaluate(model, never_transmit_policy(model), 1000.0)
     assert gb.method == "class-solve"
     assert gb.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("timing", ["immediate", "delayed"])
+def test_perfect_channel_class_skips_zero_probability_entries(timing):
+    # With p_s = 1 the idle entries of a transmitting state have probability
+    # 0; the class found for the stationary law must not follow them.
+    model = build_model(
+        validate_chain(MAIN_ROWS), 1.0, "hamming", main_age_function(), 8, 8, "map",
+        timing=timing,
+    )
+    solution = solve_cmdp(model, 0.1)
+    assert solution.is_mixture
+    mix = solution.policy
+    reactive = reactive_policy(model)
+    cases = [
+        (reactive, reactive.actions.astype(float)),
+        (mix, mix.p * mix.policy_minus.actions + (1.0 - mix.p) * mix.policy_plus.actions),
+    ]
+    s_count = model.num_mdp_states
+    states = np.arange(s_count)[:, None]
+    for policy, q in cases:
+        met = stationary_metrics(model, policy)
+        dense = np.zeros((s_count, s_count))
+        np.add.at(dense, (states, model.idle_targets), (1.0 - q)[:, None] * model.source_rows)
+        np.add.at(dense, (states, model.succ_targets), q[:, None] * model.source_rows)
+        seen = np.zeros(s_count, dtype=bool)
+        seen[model.ref_index] = True
+        frontier = [model.ref_index]
+        while len(frontier):
+            frontier = np.flatnonzero((dense[frontier] > 0).any(axis=0) & ~seen)
+            seen[frontier] = True
+        assert np.array_equal(met.reachable, np.flatnonzero(seen))
+        assert np.all(met.mu[~seen] == 0.0)
