@@ -3,7 +3,8 @@
 
 Writes JSON with, for the MAP and ZOH models of a config under both slot
 timings, the sha256 of the ``spi_solve`` action table and its gain, J and F
-at every price in 0, 0.5, ..., 20, and the ``solve_cmdp`` result (kind,
+at every price in 0, 0.5, ..., 20, the same four per price from one warm
+``sweep_lambda`` over those prices, and the ``solve_cmdp`` result (kind,
 lambda*, p, J, F, or the error raised) at every budget in 0.05, ..., 0.30.
 Each budget also carries the sha256 of the solution's action tables (the
 two pieces of a mixture) and, from ``stationary_metrics`` of its policy, the
@@ -52,10 +53,11 @@ def digest(config_path: str) -> dict:
         solve_cmdp,
         spi_solve,
         stationary_metrics,
+        sweep_lambda,
     )
 
     config = SystemConfig.from_file(config_path)
-    points, budgets = {}, {}
+    points, sweep, budgets = {}, {}, {}
     for label, model in _models(config):
         for lam in PRICES:
             policy, gb, _ = spi_solve(model, lam)
@@ -65,6 +67,17 @@ def digest(config_path: str) -> dict:
                 "J": gb.j_component,
                 "F": gb.f_component,
             }
+        for out in sweep_lambda(model, PRICES):
+            sweep[f"{label}/lam={out.lam}"] = (
+                {"error": out.diagnostics["error"]}
+                if out.policy is None
+                else {
+                    "actions_sha256": _sha256(out.policy.actions),
+                    "gain": out.gain,
+                    "J": out.J,
+                    "F": out.F,
+                }
+            )
         for f_max in BUDGETS:
             key = f"{label}/f={f_max}"
             try:
@@ -100,14 +113,14 @@ def digest(config_path: str) -> dict:
             "F": gb.f_component,
         }
     }
-    return {"points": points, "budgets": budgets, "class_route": route}
+    return {"points": points, "sweep": sweep, "budgets": budgets, "class_route": route}
 
 
 def compare(old: dict, new: dict) -> int:
     """Print the differences of two digests; return the exit code."""
     failed = False
     worst, worst_at = 0.0, ""
-    for section in ("points", "budgets", "class_route"):
+    for section in ("points", "sweep", "budgets", "class_route"):
         a, b = old[section], new[section]
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:

@@ -77,7 +77,9 @@ class MixturePolicy:
     price, transmits more) acts; otherwise the feasible one.  p is first set
     by the linear interpolation of the two frequencies and then recalibrated
     so the stationary frequency of the randomized kernel meets the budget
-    exactly; both values are kept.
+    exactly; both values are kept.  ``_rates`` is (F, J) of the stationary
+    law at p when ``build_mixture`` has already solved it, so that
+    ``solve_cmdp`` does not solve the same law again.
     """
 
     p: float
@@ -85,6 +87,7 @@ class MixturePolicy:
     policy_plus: DeterministicPolicy
     differing_states: list
     p_linear: float = float("nan")
+    _rates: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
@@ -133,22 +136,25 @@ def intersection_step(point_minus, point_plus):
 class _PointSolver:
     """SPI per price, with warm starts and caching.  Each entry is (policy,
     view, SearchPoint); J and F are read from the solved policy's
-    ``GainBias``, not from a second (stationary) solve."""
+    ``GainBias``, not from a second (stationary) solve.  Each solve starts
+    from the last solved policy and its ``GainBias``, which ``spi_solve``
+    re-prices instead of evaluating that policy again."""
 
     def __init__(self, model: SystemModel):
         self.model = model
         self.cache = {}
-        self._warm_policy = None
+        self._warm = (None, None)
 
     def solve(self, lam: float):
         lam = float(lam)
         if lam in self.cache:
             return self.cache[lam]
-        policy, gb, view = spi_solve(self.model, lam, policy0=self._warm_policy)
+        policy0, start = self._warm
+        policy, gb, view = spi_solve(self.model, lam, policy0=policy0, _start=start)
         j, f = gb.j_component, gb.f_component
         entry = (policy, view, SearchPoint(lam=lam, J=j, F=f, L=j + lam * f))
         self.cache[lam] = entry
-        self._warm_policy = policy
+        self._warm = (policy, gb)
         return entry
 
 
@@ -239,12 +245,16 @@ def build_mixture(
         p_lin = (f_max - f_plus) / (f_minus - f_plus)
     p_lin = min(max(p_lin, 0.0), 1.0)
 
+    rates = {}  # p -> stationary (F, J); the root-find ends on a p it evaluated
+
     def freq_gap(p):
         mix = MixturePolicy(
             p=p, policy_minus=policy_minus, policy_plus=policy_plus,
             differing_states=diff, p_linear=p_lin,
         )
-        return stationary_metrics(model, mix).F - f_max
+        met = stationary_metrics(model, mix)
+        rates[p] = (met.F, met.J)
+        return met.F - f_max
 
     gap_lin = freq_gap(p_lin)
     if abs(gap_lin) <= F_MATCH_TOL * 1e-2:
@@ -266,6 +276,7 @@ def build_mixture(
         policy_plus=policy_plus,
         differing_states=diff,
         p_linear=float(p_lin),
+        _rates=rates[p_star],
     )
 
 
@@ -352,8 +363,8 @@ def solve_cmdp(
     mix = build_mixture(model, pol_m, pol_p, f_max, f_minus=pt_m.F, f_plus=pt_p.F)
     trace.extras["p_linear"] = mix.p_linear
     trace.extras["p_recalibrated"] = mix.p
-    met = stationary_metrics(model, mix)
+    f, j = mix._rates
     return ConstrainedSolution(
         kind="mixture", lam_star=lam_star, policy=mix,
-        F=met.F, J=met.J, trace=trace, view_minus=view_m, view_plus=view_p,
+        F=f, J=j, trace=trace, view_minus=view_m, view_plus=view_p,
     )

@@ -102,7 +102,9 @@ class SolveOutcome:
 def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     """Solve the relaxed problem along an ascending price grid.
 
-    Each solve warm-starts from the previous policy.  A library error
+    Each solve warm-starts from the previous solved policy and its
+    ``GainBias``, which ``spi_solve`` re-prices instead of evaluating that
+    policy again.  A library error
     (RemestError) at one point is recorded in that outcome's diagnostics and
     the sweep continues; any other exception propagates.
     """
@@ -110,10 +112,10 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("lambda grid must be sorted ascending")
     outcomes = []
-    policy0 = None
+    policy0 = start = None
     for lam in grid:
         try:
-            policy, gb, view = spi_solve(model, lam, policy0=policy0)
+            policy, gb, view = spi_solve(model, lam, policy0=policy0, _start=start)
         except RemestError as exc:
             outcomes.append(
                 SolveOutcome(
@@ -132,10 +134,10 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
                 policy=policy,
                 view=view,
                 gainbias=gb,
-                diagnostics={"sweeps": gb.sweeps, "method": gb.method},
+                diagnostics={"method": gb.method},
             )
         )
-        policy0 = policy
+        policy0, start = policy, gb
     return outcomes
 
 

@@ -21,8 +21,11 @@ neither assembles nor orders the matrix again.  On a chain with several
 closed classes, the class of the reference state is a row mask of that same
 fill (K's rows off it zeroed), not a second system.  K(q) is listed row by
 row, so the kernel the class search walks is a CSR made with no sort.  The
-same pinned solve yields J and F of the policy, so SPI's callers read them
-from its ``GainBias``.
+same pinned solve yields J and F of the policy, and its bias at any price,
+since the relaxed cost at price lam is the error cost plus lam times the
+transmit indicator.  So SPI's callers read J and F from its ``GainBias``,
+and a warm start re-prices its start policy's evaluation instead of
+factoring again.
 The improvement pass, the threshold view and the structural checks work on
 the (triples, delta_max + 1) reshape of the state space, one row per
 (x, z, theta) triple, with no Python loop; SPI, RVI and the submodularity
@@ -32,7 +35,7 @@ check share one Q-factor routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,13 +79,17 @@ class GainBias:
     ``gain`` is the average cost, ``bias`` the relative value vector, zero
     at the model's reference state.  ``j_component`` and ``f_component``
     decompose the gain into the error-cost part and the transmission
-    frequency (gain == j + lam * f up to round-off); they are further
-    right-hand sides of the same pinned solve, not read from a stationary
-    law.  ``residual`` is the
-    largest Bellman residual of (gain, bias).  ``method`` names the route:
-    "pinned-lu" (the full-space solve), "class-solve" (a multichain policy,
-    see ``policy_evaluate``) or "rvi".  ``sweeps`` counts value-iteration
-    sweeps and is 0 for a direct solve.
+    frequency (gain == j + lam * f); they are the right-hand sides of the
+    pinned solve, not read from a stationary law.  ``parts`` is the (2, S)
+    array of the matching bias parts, h_err and h_tx, with bias == h_err +
+    lam * h_tx.  None of them depends on the price, so a "pinned-lu"
+    evaluation holds the policy's gain and bias at every price
+    (``_repriced``).  ``parts`` is None for "class-solve" and "rvi": the
+    class route's off-class bias is relaxed at one price, so it is never
+    re-priced.  ``residual`` is the largest Bellman residual of (gain,
+    bias).  ``method`` names the route: "pinned-lu" (the full-space solve),
+    "class-solve" (a multichain policy, see ``policy_evaluate``) or "rvi".
+    ``sweeps`` counts value-iteration sweeps and is 0 for a direct solve.
     """
 
     gain: float
@@ -93,6 +100,7 @@ class GainBias:
     residual: float = float("nan")
     method: str = "pinned-lu"
     sweeps: int = 0
+    parts: np.ndarray | None = None
 
 
 @dataclass
@@ -327,12 +335,11 @@ def reachable_set(kernel: sp.csr_matrix, start: int) -> np.ndarray:
     return np.sort(order)
 
 
-def _stage_costs(model: SystemModel, lam: float, actions: np.ndarray) -> np.ndarray:
-    """Stacked per-state costs under the policy: rows (lam-cost, error, tx)."""
+def _stage_costs(model: SystemModel, actions: np.ndarray) -> np.ndarray:
+    """Stacked per-state costs under the policy: rows (error, tx).  The
+    relaxed cost at price lam is the first row plus lam times the second."""
     a = actions.astype(bool)
-    err = np.where(a, model.tx_cost, model.idle_cost)
-    tx = a.astype(float)
-    return np.vstack([err + lam * tx, err, tx])
+    return np.vstack([np.where(a, model.tx_cost, model.idle_cost), a.astype(float)])
 
 
 def _span(x: np.ndarray) -> float:
@@ -342,38 +349,46 @@ def _span(x: np.ndarray) -> float:
 def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float) -> GainBias:
     """Gain and bias of a fixed policy, bias pinned to zero at model.ref_index.
 
-    One sparse LU of the pinned system gives the gain, the bias and the
-    (J, F) split as three right-hand sides.  When that system is singular
-    or its residual exceeds RESIDUAL_TOL (a policy whose chain splits into
-    closed classes with unequal gains), the system is solved on the class
-    of the reference state instead and the other states are relaxed against
-    its gain.
+    One sparse LU of the pinned system gives the (J, F) split and the bias
+    parts (h_err, h_tx) as two right-hand sides; the gain and bias at lam
+    are J + lam * F and h_err + lam * h_tx, the formula ``_repriced``
+    applies at any other price.  When that system is singular or the
+    residual of (gain, bias) exceeds RESIDUAL_TOL (a policy whose chain
+    splits into closed classes with unequal gains), the system is solved on
+    the class of the reference state instead and the other states are
+    relaxed against its gain.
     """
     q = policy.actions.astype(float)
-    costs = _stage_costs(model, lam, policy.actions)
-    rhs = np.vstack([costs.T, np.zeros((1, 3))])
-    # The bias outlives the factor, so it is allocated first: placed above
-    # SuperLU's freed work memory it would keep the heap from shrinking, and
-    # the peak resident memory of a constrained solve creeps up by MiBs.
+    costs = _stage_costs(model, policy.actions)
+    rhs = np.vstack([costs.T, np.zeros((1, 2))])
+    # The bias and its parts outlive the factor, so they are allocated
+    # first: placed above SuperLU's freed work memory they would keep the
+    # heap from shrinking, and the peak resident memory of a constrained
+    # solve creeps up by MiBs.
+    parts = np.empty((2, model.num_mdp_states))
     bias = np.empty(model.num_mdp_states)
     try:
         factor = _pinned_lu(model, q)
     except RuntimeError:  # exactly singular
         return _evaluate_on_class(model, q, lam, costs)
     sol = factor.solve(rhs)
-    resid = float(np.abs(factor.matrix @ sol[factor.order, 0] - rhs[:, 0]).max())
+    priced = sol[:, 0] + lam * sol[:, 1]  # (bias, gain) at lam
+    resid = factor.matrix @ priced[factor.order] - (rhs[:, 0] + lam * rhs[:, 1])
+    resid = float(np.abs(resid).max())
     if not resid <= RESIDUAL_TOL:
         return _evaluate_on_class(model, q, lam, costs)
-    gain, j, f = sol[-1]
-    bias[:] = sol[:-1, 0]
+    parts[:] = sol[:-1].T
+    bias[:] = priced[:-1]
+    j, f = sol[-1]
     return GainBias(
-        gain=float(gain),
+        gain=float(priced[-1]),
         bias=bias,
         lam=lam,
         j_component=float(j),
         f_component=float(f),
         residual=resid,
         method="pinned-lu",
+        parts=parts,
     )
 
 
@@ -382,25 +397,29 @@ def _evaluate_on_class(model, q, lam, costs) -> GainBias:
 
     Solves exactly on the class of the reference state and relaxes the
     remaining states against that gain (best effort; their actions get
-    corrected by subsequent improvement steps).  The reported residual covers all states.
+    corrected by subsequent improvement steps).  The reported residual
+    covers all states.  The relaxed bias holds at lam alone, so no
+    ``parts`` are kept and the result is never re-priced.
     """
     kernel, reach, factor = _class_lu(model, q)
-    sol = factor.solve(np.vstack([costs.T, np.zeros((1, 3))]))
+    sol = factor.solve(np.vstack([costs.T, np.zeros((1, 2))]))
     if not np.all(np.isfinite(sol)):
         raise ConvergenceFailure("class-restricted evaluation returned non-finite values")
-    gain, j, f = sol[-1]
-    bias = sol[:-1, 0].copy()
+    j, f = sol[-1]
+    gain = j + lam * f
+    cost = costs[0] + lam * costs[1]
+    bias = sol[:-1, 0] + lam * sol[:-1, 1]
     off = np.setdiff1d(np.arange(bias.size), reach, assume_unique=True)
     if off.size:
         bias[off] = 0.0
         k_off = kernel[off]
         for _ in range(2000):
-            new_off = costs[0][off] - gain + k_off @ bias
+            new_off = cost[off] - gain + k_off @ bias
             delta = np.abs(new_off - bias[off]).max()
             bias[off] = new_off
             if delta < 1e-10:
                 break
-    resid = float(np.abs(gain + bias - costs[0] - kernel @ bias).max())
+    resid = float(np.abs(gain + bias - cost - kernel @ bias).max())
     return GainBias(
         gain=float(gain),
         bias=bias,
@@ -412,6 +431,13 @@ def _evaluate_on_class(model, q, lam, costs) -> GainBias:
     )
 
 
+def _repriced(gb: GainBias, lam: float) -> GainBias:
+    """The "pinned-lu" evaluation ``gb`` at price lam: gain J + lam * F and
+    bias h_err + lam * h_tx, with no solve.  Its residual is left unknown."""
+    gain, bias = gb.j_component + lam * gb.f_component, gb.parts[0] + lam * gb.parts[1]
+    return replace(gb, gain=gain, bias=bias, lam=lam, residual=float("nan"))
+
+
 def _q_factors(model: SystemModel, lam: float, v: np.ndarray):
     """Q-factors (idle, transmit) of every state under the value vector v."""
     ev_i = model.ev_idle(v)
@@ -419,19 +445,36 @@ def _q_factors(model: SystemModel, lam: float, v: np.ndarray):
     return model.idle_cost + ev_i, lam + model.tx_cost + model.p_f * ev_i + model.p_s * ev_s
 
 
-def _structured_improvement(
-    model: SystemModel, lam: float, bias: np.ndarray, incumbent: np.ndarray
-) -> np.ndarray:
-    """One structured improvement pass: ascend the error-age axis per triple,
-    switch to transmit at the first improving age, keep transmit above it.
+def _evaluation(model: SystemModel, policy: DeterministicPolicy, lam: float, start=None):
+    """The policy's ``GainBias`` at lam and its Q-factors (idle, transmit).
+
+    ``start``, when given, is the policy's evaluation at another price.  A
+    "pinned-lu" one is re-priced, and kept when its Bellman residual
+    max|g + h - Q_pi|, read off the Q-factors the improvement pass needs
+    anyway, is within RESIDUAL_TOL.  Otherwise the policy is evaluated
+    afresh.
+    """
+    if start is not None and start.parts is not None:
+        gb = _repriced(start, lam)
+        q0, q1 = _q_factors(model, lam, gb.bias)
+        gb.residual = float(np.abs(gb.gain + gb.bias - np.where(policy.actions, q1, q0)).max())
+        if gb.residual <= RESIDUAL_TOL:
+            return gb, q0, q1
+    gb = policy_evaluate(model, policy, lam)
+    return (gb, *_q_factors(model, lam, gb.bias))
+
+
+def _structured_improvement(model: SystemModel, d: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
+    """One structured improvement pass on the Q-factor difference d = transmit
+    - idle: ascend the error-age axis per triple, switch to transmit at the
+    first improving age, keep transmit above it.
 
     Ties fall back to the incumbent action to prevent policy cycling.  Each
     (x, z, theta) triple is one row of the (triples, delta_max + 1) reshape;
     returns the new action table.
     """
-    q0, q1 = _q_factors(model, lam, bias)
     dm = model.delta_max
-    d = _by_triple(model, q1 - q0)
+    d = _by_triple(model, d)
     inc = _by_triple(model, incumbent) == 1
     prefer = np.where(d < -TIE_TOL, True, np.where(d > TIE_TOL, False, inc))
     # Same-error triples transmit from the first preferred age below the
@@ -449,6 +492,8 @@ def spi_solve(
     model: SystemModel,
     lam: float,
     policy0: DeterministicPolicy | None = None,
+    *,
+    _start: GainBias | None = None,
 ) -> tuple[DeterministicPolicy, GainBias, ThresholdView]:
     """Structured policy iteration from the reactive policy.
 
@@ -456,15 +501,19 @@ def spi_solve(
     the policy is a fixed point, and returns it with its evaluation and view.
     The reactive start keeps the first evaluation off the class route on
     the hold-last-value model, where never-transmit is multichain.  A warm
-    start (policy0) only changes the path, not the fixed point.
+    start (policy0) only changes the path, not the fixed point.  The
+    library's warm-started callers also pass policy0's ``GainBias`` from the
+    previous price as ``_start``, whose re-pricing replaces the first
+    evaluation when it passes the residual check (``_evaluation``).
     """
     if lam < 0:
         raise DomainError("transmission price must be nonnegative")
     actions = (policy0 if policy0 is not None else reactive_policy(model)).actions.copy()
     for _ in range(SPI_MAX_PASSES):
         policy = DeterministicPolicy(actions)
-        gb = policy_evaluate(model, policy, lam)
-        new_actions = _structured_improvement(model, lam, gb.bias, actions)
+        gb, q0, q1 = _evaluation(model, policy, lam, _start)
+        _start = None
+        new_actions = _structured_improvement(model, q1 - q0, actions)
         if np.array_equal(new_actions, actions):
             return policy, gb, ThresholdView.from_policy(model, policy)
         actions = new_actions

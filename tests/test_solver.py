@@ -21,11 +21,13 @@ from remest import (
     solve_cmdp,
     spi_solve,
     stationary_metrics,
+    sweep_lambda,
     symmetric_chain,
     validate_chain,
 )
-from remest.solver import RESIDUAL_TOL, _pinned_matrix, induced_kernel, reachable_set
-from conftest import MAIN_ROWS, main_age_function, small_random_model
+import remest.solver
+from remest.solver import RESIDUAL_TOL, _pinned_matrix, _repriced, induced_kernel, reachable_set
+from conftest import LAMBDA_GRID, MAIN_ROWS, main_age_function, small_random_model
 
 
 def zero_cost_model():
@@ -607,3 +609,80 @@ def test_perfect_channel_class_skips_zero_probability_entries(timing):
             seen[frontier] = True
         assert np.array_equal(met.reachable, np.flatnonzero(seen))
         assert np.all(met.mu[~seen] == 0.0)
+
+
+def count_factors(monkeypatch):
+    """Record the transmit probabilities of every ``_pinned_lu`` call."""
+    factored = []
+    pinned_lu = remest.solver._pinned_lu
+
+    def counted(model, tx_prob, states=None):
+        factored.append(np.array(tx_prob))
+        return pinned_lu(model, tx_prob, states)
+
+    monkeypatch.setattr(remest.solver, "_pinned_lu", counted)
+    return factored
+
+
+@pytest.mark.parametrize("fixture", ["main_model", "paper_model", "zoh_model", "paper_zoh_model"])
+@pytest.mark.parametrize("lam_from, lam_to", [(0.5, 7.5), (7.5, 0.0), (2.0, 20.0)])
+def test_repriced_matches_fresh_evaluation(fixture, lam_from, lam_to, request):
+    model = request.getfixturevalue(fixture)
+    policy = reactive_policy(model)
+    start = policy_evaluate(model, policy, lam_from)
+    assert start.method == "pinned-lu"
+    moved = _repriced(start, lam_to)
+    fresh = policy_evaluate(model, policy, lam_to)
+    assert moved.lam == lam_to
+    assert abs(moved.gain - fresh.gain) < 1e-10
+    assert np.abs(moved.bias - fresh.bias).max() < 1e-9
+    assert abs(moved.j_component - fresh.j_component) < 1e-10
+    assert abs(moved.f_component - fresh.f_component) < 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["main_model", "paper_model", "paper_zoh_model"])
+def test_warm_start_at_fixed_point_factors_nothing(fixture, request, monkeypatch):
+    model = request.getfixturevalue(fixture)
+    policy, gb, _ = spi_solve(model, 5.0)
+    factored = count_factors(monkeypatch)
+    again, gb_again, _ = spi_solve(model, 5.0, policy0=policy, _start=gb)
+    assert factored == []
+    assert again.same_as(policy)
+    assert gb_again.gain == gb.gain
+    assert gb_again.residual <= RESIDUAL_TOL
+    # Without its evaluation the same start is evaluated, so the count works.
+    spi_solve(model, 5.0, policy0=policy)
+    assert len(factored) == 1
+
+
+def test_class_solve_start_is_evaluated_again(main_config, monkeypatch):
+    model = main_config.with_overrides(delta_max=2).build_model(timing="delayed")
+    never = never_transmit_policy(model)
+    gb = policy_evaluate(model, never, 1000.0)
+    assert gb.method == "class-solve" and gb.parts is None
+    factored = count_factors(monkeypatch)
+    spi_solve(model, 1000.0, policy0=never, _start=gb)
+    assert factored and not factored[0].any()  # the first factor is the start's
+
+
+@pytest.mark.parametrize("fixture", ["paper_model", "paper_zoh_model"])
+def test_warm_sweep_matches_cold_solves(fixture, request):
+    model = request.getfixturevalue(fixture)
+    for outcome in sweep_lambda(model, LAMBDA_GRID):
+        policy, gb, _ = spi_solve(model, outcome.lam)
+        assert outcome.policy.same_as(policy), outcome.lam
+        assert abs(outcome.gain - gb.gain) < 1e-10
+        assert abs(outcome.F - gb.f_component) < 1e-10
+
+
+def test_start_failing_residual_check_is_evaluated_again(main_model, monkeypatch):
+    # The evaluation of another policy does not satisfy the start policy's
+    # Bellman equations, so its re-pricing must not be used.
+    reactive = reactive_policy(main_model)
+    policy, gb, _ = spi_solve(main_model, 5.0)
+    assert not policy.same_as(reactive)
+    factored = count_factors(monkeypatch)
+    warm, gb_warm, _ = spi_solve(main_model, 5.0, policy0=reactive, _start=gb)
+    assert np.array_equal(factored[0], reactive.actions)
+    assert warm.same_as(policy)
+    assert abs(gb_warm.gain - gb.gain) < 1e-10
