@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Per-call medians of the solver's layers on a fixed ladder of model sizes.
+
+Prints JSON with, for each rung, the state count and the median seconds per
+call of ``policy_evaluate``, of ``stationary_metrics`` for a deterministic
+policy and for a mixture, and of a cold ``spi_solve``.  The rungs are
+
+* S = 378: the ZOH model of ``configs/three_state.json``, delayed timing;
+* S = 3 969: the MAP model of that config, delayed timing;
+* S = 24 025: the 5-state chain of the benchmark's ``price-sweep-large``
+  workload, truncation 30, immediate timing.
+
+The policy is ``spi_solve``'s at price 5, the mixture weighs it against
+``spi_solve``'s policy at price 2 with p = 1/2.  Each layer is called until
+``--seconds`` have passed (at least three calls), one warm-up call first.
+
+    python scripts/layer_ladder.py
+    PYTHONPATH=/path/to/other/checkout/src python scripts/layer_ladder.py
+"""
+
+import argparse
+import json
+import statistics
+import time
+
+import numpy as np
+
+PRICE, MIX_PRICE = 5.0, 2.0
+
+
+def _ladder(config_path: str):
+    from remest import SystemConfig
+
+    config = SystemConfig.from_file(config_path)
+    zoh = config.with_overrides(theta_max=1, estimator="zoh")
+    yield "zoh/delayed", zoh.build_model(timing="delayed")
+    yield "map/delayed", config.build_model(timing="delayed")
+    # The price-sweep-large chain: Dirichlet(0.8) rows plus 2 on the
+    # diagonal, renormalised, from recipe seed 0 (bench/workloads.py).
+    rng = np.random.default_rng(0)
+    rows = rng.dirichlet(np.full(5, 0.8), size=5) + 2.0 * np.eye(5)
+    doc = {
+        "alphabet_size": 5,
+        "transition": (rows / rows.sum(axis=1, keepdims=True)).tolist(),
+        "p_s": 0.7,
+        "distortion": "hamming",
+        "age_function": {"kind": "exponential_affine", "a": 1.2, "b": 0.3, "c": 0.3},
+        "theta_max": 30,
+        "delta_max": 30,
+        "f_max": 0.1,
+        "lambda_max": 1000.0,
+        "tolerances": {"eval": 1e-10, "search": 1e-3, "mixture": 1e-6},
+        "seed": 0,
+        "estimator": "map",
+    }
+    yield "sweep-chain/immediate", SystemConfig.from_dict(doc).build_model(timing="immediate")
+
+
+def _median_seconds(call, seconds: float) -> float:
+    call()
+    times = []
+    start = time.perf_counter()
+    while len(times) < 3 or time.perf_counter() - start < seconds:
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def ladder(config_path: str, seconds: float) -> dict:
+    from remest import MixturePolicy, policy_evaluate, spi_solve, stationary_metrics
+
+    out = {}
+    for label, model in _ladder(config_path):
+        policy = spi_solve(model, PRICE)[0]
+        other = spi_solve(model, MIX_PRICE)[0]
+        diff = np.flatnonzero(policy.actions != other.actions).tolist()
+        mixture = MixturePolicy(p=0.5, policy_minus=other, policy_plus=policy, differing_states=diff)
+        out[label] = {
+            "states": model.num_mdp_states,
+            "policy_evaluate_s": _median_seconds(lambda: policy_evaluate(model, policy, PRICE), seconds),
+            "stationary_metrics_s": _median_seconds(lambda: stationary_metrics(model, policy), seconds),
+            "stationary_metrics_mixture_s": _median_seconds(
+                lambda: stationary_metrics(model, mixture), seconds
+            ),
+            "spi_solve_s": _median_seconds(lambda: spi_solve(model, PRICE), seconds),
+        }
+    return out
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--config", default="configs/three_state.json")
+    ap.add_argument("--seconds", type=float, default=2.0, help="time spent per layer and rung")
+    args = ap.parse_args()
+    print(json.dumps(ladder(args.config, args.seconds), indent=1))

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import steady_state_age
-from .evaluation import kl_truncation, simulate, stationary_metrics, sweep_lambda
+from .evaluation import kl_truncation, simulate, sweep_lambda
 from .model import check_assumption1
 from .solver import (
     check_submodularity,
@@ -153,15 +153,14 @@ def cmd_solve(config: SystemConfig, args) -> tuple:
 def cmd_solve_lambda(config: SystemConfig, args) -> tuple:
     model = config.build_model()
     lam = float(args.lam)
-    policy, gb, view = spi_solve(model, lam)
-    met = stationary_metrics(model, policy)
+    _, gb, view = spi_solve(model, lam)
     rows = [
         {
             "config_digest": config.digest(),
             "lambda": lam,
-            "F": met.F,
-            "J": met.J,
-            "L": met.J + lam * met.F,
+            "F": gb.f_component,
+            "J": gb.j_component,
+            "L": gb.j_component + lam * gb.f_component,
             "gain": gb.gain,
             "thresholds_digest": _thresholds_digest(view),
             "distinct_thresholds": len(view.distinct()),

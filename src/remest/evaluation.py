@@ -21,6 +21,7 @@ from .solver import (
     GainBias,
     ThresholdView,
     _class_lu,
+    reachable_set,
     spi_solve,
 )
 
@@ -55,22 +56,28 @@ def _mixture_parts(policy):
 def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     """Exact frequency and error cost of a deterministic or mixture policy.
 
-    The stationary law is solved directly on the class reachable from the
-    reference state, with the pinned LU that policy evaluation uses
-    (transposed), K's rows off that class masked out (``solver._class_lu``);
-    states outside the class carry exactly zero mass.
+    The stationary law is solved directly on the set reachable from the
+    reference state, with the factor that policy evaluation uses
+    (``solver._pinned_lu``, transposed), K's rows off that set masked out
+    (``solver._class_lu``), and its balance residual is checked against
+    STATIONARY_TOL.  The law is then kept on the closed class of its
+    heaviest state; every other state carries exactly zero mass.
     """
     p, act_minus, act_plus = _mixture_parts(policy)
     tx_rate = p * act_minus + (1.0 - p) * act_plus
-    mu = np.empty(model.num_mdp_states)  # before the factor, as in policy_evaluate
-    _, reach, factor = _class_lu(model, tx_rate)
-    rhs = np.zeros(mu.size + 1)
+    kernel, reach, factor = _class_lu(model, tx_rate)
+    rhs = np.zeros(model.num_mdp_states + 1)
     rhs[-1] = 1.0
     sol = factor.solve(rhs, trans="T")
-    resid = np.abs(factor.matrix.T @ sol - rhs[factor.order]).max()
+    resid = np.abs(factor.matvec(sol, trans="T") - rhs).max()
     if not resid <= STATIONARY_TOL:
         raise ConvergenceFailure(f"stationary law balance residual {resid:.2e}")
-    np.clip(sol[:-1], 0.0, None, out=mu)
+    # The law lives on the closed class, the states reachable from its
+    # heaviest state; the solve leaves round-off on the rest of the reach
+    # set, which is transient when the reference state is.
+    closed = reachable_set(kernel, int(np.argmax(sol[:-1])))
+    mu = np.zeros(model.num_mdp_states)
+    mu[closed] = np.clip(sol[closed], 0.0, None)
     mu /= mu.sum()
 
     cost_minus = np.where(act_minus.astype(bool), model.tx_cost, model.idle_cost)

@@ -268,20 +268,12 @@ class SystemModel:
         self.ref_index = int(self.encode(xstar, xstar, tm, 0))
 
     @functools.cached_property
-    def pinned_order(self) -> np.ndarray:
-        """Column order of every pinned system of this model, made on the first
-        factorization (``solver.fill_order``) rather than at build time."""
-        from .solver import fill_order  # local: solver imports this module
+    def level_layout(self):
+        """The pinned system's unknowns in AoI levels, made on the first
+        factorization (``solver.level_layout``) rather than at build time."""
+        from .solver import level_layout  # local: solver imports this module
 
-        return fill_order(self)
-
-    @functools.cached_property
-    def pinned_pattern(self):
-        """CSC structure every pinned system of this model is filled into,
-        made on the first factorization (``solver.pinned_pattern``)."""
-        from .solver import pinned_pattern  # local: solver imports this module
-
-        return pinned_pattern(self)
+        return level_layout(self)
 
     def encode(self, x, z, theta, delta):
         """Dense index of (x, z, theta, delta); accepts arrays."""

@@ -10,22 +10,23 @@ Two independent routes are kept deliberately separate:
   pairs and serves as the unstructured oracle.
 
 Policy evaluation and the stationary law (``evaluation.stationary_metrics``)
-share one direct solve: a sparse LU of the pinned bordered system
-[[I - K(q), 1], [e_ref, 0]], where K(q) is the kernel induced by a per-state
-transmit probability q and the bias is pinned to zero at the model's
-reference state.  Every such system of one model has its nonzeros inside
-one CSC pattern, so the pattern and a fill-reducing column order are made
-once per model, on the first factorization; every factor after it is one
-numeric fill of that pattern, columns already in that order, and SuperLU
-neither assembles nor orders the matrix again.  On a chain with several
-closed classes, the class of the reference state is a row mask of that same
-fill (K's rows off it zeroed), not a second system.  K(q) is listed row by
-row, so the kernel the class search walks is a CSR made with no sort.  The
-same pinned solve yields J and F of the policy, and its bias at any price,
-since the relaxed cost at price lam is the error cost plus lam times the
-transmit indicator.  So SPI's callers read J and F from its ``GainBias``,
-and a warm start re-prices its start policy's evaluation instead of
-factoring again.
+share one solver of the pinned bordered system M = [[I - K(q), 1],
+[e_ref, 0]], where K(q) is the kernel induced by a per-state transmit
+probability q and the bias is pinned to zero at the model's reference
+state.  Each slot the info age either grows by one (capped at theta_max)
+or a delivery resets the state to one of a few reset states T.  So M is
+M0 - U V^T: M0 holds the idle part and the border and is block-triangular
+along the age levels, and U V^T, of rank |T| + 1, holds the deliveries and
+the pin.  M0 is solved by a SuperLU factor of its theta_max block and one
+gather per lower level, M by a Sherman-Morrison-Woodbury update of that
+(``_LevelFactor``).  The level layout (``LevelLayout``) is made once per
+model, on the first factorization.  On a chain with several closed classes,
+the class of the reference state is a row mask of the same system (K's rows
+off it zeroed), not a second one.  The same pinned solve yields J and F of
+the policy, and its bias at any price, since the relaxed cost at price lam
+is the error cost plus lam times the transmit indicator.  So SPI's callers
+read J and F from its ``GainBias``, and a warm start re-prices its start
+policy's evaluation instead of solving again.
 The improvement pass, the threshold view and the structural checks work on
 the (triples, delta_max + 1) reshape of the state space, one row per
 (x, z, theta) triple, with no Python loop; SPI, RVI and the submodularity
@@ -40,7 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import ConvergenceFailure, DomainError
 from .model import SystemModel
@@ -51,6 +53,7 @@ RESIDUAL_TOL = 1e-8
 SPI_MAX_PASSES = 500
 RVI_SPAN_TOL = 1e-10
 RVI_MAX_SWEEPS = 10**6
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), (np.empty(1),))
 
 
 @dataclass
@@ -79,17 +82,18 @@ class GainBias:
     ``gain`` is the average cost, ``bias`` the relative value vector, zero
     at the model's reference state.  ``j_component`` and ``f_component``
     decompose the gain into the error-cost part and the transmission
-    frequency (gain == j + lam * f); they are the right-hand sides of the
-    pinned solve, not read from a stationary law.  ``parts`` is the (2, S)
-    array of the matching bias parts, h_err and h_tx, with bias == h_err +
-    lam * h_tx.  None of them depends on the price, so a "pinned-lu"
-    evaluation holds the policy's gain and bias at every price
+    frequency (gain == j + lam * f); they are the gains of the pinned
+    solve for the two cost rows, not read from a stationary law.  ``parts``
+    is the (2, S) array of the matching bias parts, h_err and h_tx, with
+    bias == h_err + lam * h_tx.  None of them depends on the price, so a
+    "pinned-lu" evaluation holds the policy's gain and bias at every price
     (``_repriced``).  ``parts`` is None for "class-solve" and "rvi": the
     class route's off-class bias is relaxed at one price, so it is never
     re-priced.  ``residual`` is the largest Bellman residual of (gain,
-    bias).  ``method`` names the route: "pinned-lu" (the full-space solve),
-    "class-solve" (a multichain policy, see ``policy_evaluate``) or "rvi".
-    ``sweeps`` counts value-iteration sweeps and is 0 for a direct solve.
+    bias).  ``method`` names the route: "pinned-lu" (the full-space level
+    solve of ``_pinned_lu``), "class-solve" (a multichain policy, see
+    ``policy_evaluate``) or "rvi".  ``sweeps`` counts value-iteration
+    sweeps and is 0 for a direct solve.
     """
 
     gain: float
@@ -199,134 +203,331 @@ def induced_kernel(model: SystemModel, tx_prob: np.ndarray) -> sp.csr_matrix:
     """
     probs = _kernel_values(model, tx_prob)
     s_count = model.num_mdp_states
-    cols = _pinned_entries(model)[1][: probs.size]
-    indptr = np.arange(0, probs.size + 1, probs.size // s_count)
-    kernel = sp.csr_matrix((probs, cols, indptr), shape=(s_count, s_count))
+    cols = np.hstack([model.idle_targets, model.succ_targets]).ravel()
+    indptr = np.arange(0, probs.size + 1, probs.shape[0])
+    kernel = sp.csr_matrix((probs.T.ravel(), cols, indptr), shape=(s_count, s_count))
     kernel.eliminate_zeros()  # csgraph counts explicit zeros as edges
     return kernel
 
 
 def _kernel_values(model: SystemModel, tx_prob: np.ndarray) -> np.ndarray:
-    """K(q) at its triplets, the leading entries of ``_pinned_entries``:
-    each state's n idle entries, then its n success entries."""
+    """K(q) at its triplets, (2n, S): column s holds state s's n idle
+    entries, then its n success entries, by next source state."""
+    n = model.n_states
     w = model.p_s * np.asarray(tx_prob, dtype=float)
-    return np.einsum("sj,sk->sjk", np.stack([1.0 - w, w], 1), model.source_rows).ravel()
+    # A state's source row depends on its x alone, the slowest index.
+    rows = model.chain.rows.T[None, :, :, None]
+    return (np.stack([1.0 - w, w]).reshape(2, 1, n, -1) * rows).reshape(2 * n, w.size)
 
 
-def _pinned_entries(model: SystemModel):
-    """Row and column of every entry of M = [[I - K(q), 1], [e_ref, 0]] over
-    every q: row by row, the idle, then the success targets of each state
-    (pinned ones too), then the identity, the border column and the border
-    row."""
-    m, n = model.idle_targets.shape
-    diag = np.arange(m)
-    targets = np.hstack([model.idle_targets, model.succ_targets]).ravel()
-    rows = np.concatenate([np.repeat(diag, 2 * n), diag, diag, [m]], dtype=np.int32)
-    cols = np.concatenate([targets, diag, np.full(m, m), [model.ref_index]], dtype=np.int32)
-    return rows, cols
+@dataclass(frozen=True)
+class LevelLayout:
+    """The pinned system's unknowns in AoI levels (``SystemModel.level_layout``).
 
-
-def fill_order(model: SystemModel) -> np.ndarray:
-    """COLAMD column order of the pinned system over the union pattern of
-    every switching policy and mixture (``SystemModel.pinned_order``)."""
-    rows, cols = _pinned_entries(model)
-    probs = _kernel_values(model, 0.5 * ~model.idle_pinned)
-    data = np.concatenate([-probs, np.ones(rows.size - probs.size)])
-    keep = np.flatnonzero(data)
-    size = model.num_mdp_states + 1
-    matrix = sp.csc_matrix((data[keep], (rows[keep], cols[keep])), shape=(size, size))
-    del rows, cols, probs, data, keep  # the peak memory is set inside splu
-    return np.argsort(spla.splu(matrix, relax=1, panel_size=1).perm_c)
-
-
-def pinned_pattern(model: SystemModel):
-    """Sorted CSC structure of every pinned system of the model, columns in
-    ``pinned_order`` (``SystemModel.pinned_pattern``): ``indices``,
-    ``indptr``, and the data slot of each of ``_pinned_entries``, split into
-    K's triplets and the unit entries."""
-    rows, cols = _pinned_entries(model)
-    size = model.num_mdp_states + 1
-    pos = np.argsort(model.pinned_order)  # column c of M is stored at pos[c]
-    keys, slot = np.unique(pos[cols] * size + rows, return_inverse=True)
-    slot = slot.astype(np.int32)
-    k = 2 * model.idle_targets.size
-    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
-    return (keys % size).astype(np.int32), indptr.astype(np.int32), slot[:k], slot[k:]
-
-
-def _pinned_matrix(model: SystemModel, tx_prob: np.ndarray, states=None):
-    """M[:, order] for transmit probability q, one numeric fill of the
-    model's ``pinned_pattern``, and its column order ``order``.
-
-    ``states``, when given, is a closed set of the chain containing the
-    reference state.  K's rows off it are zeroed, so each state off it keeps
-    only its own row h + g = c, which no state of the set reads: the set's
-    equations are those of the restricted chain, and the stationary law is
-    zero off it.
+    Level theta holds the L = n^2 (delta_max + 1) states of info age theta in
+    (x, z, delta) order, and the gain comes last, after level theta_max:
+    level position p holds unknown ``order[p]``, and unknown u sits at
+    ``position[u]``.  An idle slot moves a state of level theta to level
+    min(theta + 1, theta_max): ``idle_local[theta, k, i]`` is the position,
+    within that level, of the idle target of the level's i-th state when
+    the source moves to k.  A success moves a state to a reset state:
+    ``resets`` holds the level positions of the reset set T and
+    ``succ_col[k, p]`` the column of T of the success target of level
+    position p.  ``targets`` (2n, S) lists each state's idle, then its
+    success targets.  ``top`` is the CSC pattern of the theta_max block with
+    its border, columns in a fill-reducing order (block column
+    ``top_order[j]`` is stored at j, and block column c at
+    ``top_position[c]``): indices, indptr, and the data slots of the idle
+    entries, of the unit entries (identity and border column) and of the
+    border row.  ``top_closed`` numbers the closed classes of the idle
+    chain on the theta_max level (its bottom strongly connected
+    components), -1 off them, by position in that level.
     """
-    indices, indptr, k_slot, const_slot = model.pinned_pattern
-    values = _kernel_values(model, tx_prob)
-    if states is not None:
-        off = np.ones(model.num_mdp_states, dtype=bool)
-        off[states] = False
-        values.reshape(off.size, -1)[off] = 0.0
-    data = -np.bincount(k_slot, values, indices.size)
-    data[const_slot] += 1.0
-    size = indptr.size - 1
-    # eliminate_zeros works in place: keep the cached pattern intact.
-    matrix = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=(size, size))
-    matrix.eliminate_zeros()
-    return matrix, model.pinned_order
+
+    order: np.ndarray
+    position: np.ndarray
+    idle_local: np.ndarray
+    resets: np.ndarray
+    succ_col: np.ndarray
+    targets: np.ndarray
+    top: tuple
+    top_order: np.ndarray
+    top_position: np.ndarray
+    top_closed: np.ndarray
+
+
+def level_layout(model: SystemModel) -> LevelLayout:
+    """The model's ``LevelLayout``; every index array is int32."""
+    n, tm, dm = model.n_states, model.theta_max, model.delta_max
+    size = n * n * (dm + 1)
+    s_count = model.num_mdp_states
+    # The dense index runs (x, z, theta, delta); levels move theta first.
+    states = np.arange(s_count).reshape(n * n, tm + 1, dm + 1).transpose(1, 0, 2).ravel()
+    order = np.append(states, s_count)
+    position = np.argsort(order)
+    idle_local = position[model.idle_targets[states].T] % size
+    reset_states, succ_col = np.unique(model.succ_targets[states].T, return_inverse=True)
+    diag = np.arange(size)
+    rows = np.concatenate([np.tile(diag, n), diag, diag, np.full(size, size)])
+    cols = np.concatenate([idle_local[:, tm * size :].ravel(), diag, np.full(size, size), diag])
+    # COLAMD order of the block, taken once from a factor of a matrix with
+    # its pattern; every factor after it is told to keep that order.
+    k = size * n
+    data = np.concatenate([np.full(k, -0.5 / n), np.ones(2 * size), np.full(size, 1.0 / size)])
+    block = sp.csc_matrix((data, (rows, cols)), shape=(size + 1, size + 1))
+    top_position = spla.splu(block, relax=1, panel_size=1).perm_c
+    keys, slot = np.unique(top_position[cols] * (size + 1) + rows, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(size + 2) * (size + 1))
+    top = (keys % (size + 1), indptr, slot[:k], slot[k : k + 2 * size], slot[k + 2 * size :])
+    # The idle chain never leaves the theta_max level; a closed class of it
+    # is a strongly connected component with no edge out.
+    live = model.source_rows[states[tm * size :]].T > 0
+    tail, head = np.broadcast_to(diag, live.shape)[live], idle_local[:, tm * size :][live]
+    graph = sp.csr_matrix((np.ones(tail.size), (tail, head)), shape=(size, size))
+    count, label = connected_components(graph, directed=True, connection="strong")
+    leaves = np.bincount(label[tail], label[tail] != label[head], count) == 0
+    top_closed = np.where(leaves[label], np.cumsum(leaves)[label] - 1, -1)
+    return LevelLayout(
+        order=order.astype(np.int32),
+        position=position.astype(np.int32),
+        idle_local=idle_local.reshape(n, tm + 1, size).transpose(1, 0, 2).astype(np.int32),
+        resets=position[reset_states].astype(np.int32),
+        succ_col=succ_col.reshape(n, s_count).astype(np.int32),
+        targets=np.vstack([model.idle_targets.T, model.succ_targets.T]).astype(np.int32),
+        top=tuple(a.astype(np.int32) for a in top),
+        top_order=np.argsort(top_position).astype(np.int32),
+        top_position=top_position.astype(np.int32),
+        top_closed=top_closed.astype(np.int32),
+    )
 
 
 @dataclass
-class _PinnedFactor:
-    """LU of M[:, order] (``matrix``); ``solve`` answers M x = rhs, or
-    M^T x = rhs with trans="T", in M's own unknowns."""
+class _LevelFactor:
+    """The pinned system M, split as M = M0 - U V^T and solved along the AoI
+    levels (``_pinned_lu``).
 
-    matrix: sp.csc_matrix
+    M0 keeps the idle part of K and the border, with its pin row spread
+    over the theta_max level (``pin``, positive on every state of the
+    reference class there) instead of set at the reference state.  U V^T
+    holds the rest: the success part, |T| columns of K at the reset set T,
+    and the move of the pin to the reference state, one more column.  M0 is
+    block-triangular in the level order, so M0^{-1} is a SuperLU solve of
+    its theta_max block with the border (``lu``) followed by one gather per
+    lower level from the level above (``_sweep``); M0^{-T} runs the same
+    steps in reverse (``_sweep_t``).  Spreading the pin keeps that block
+    nonsingular when the theta_max level holds one closed class without
+    the reference state, as a policy that never transmits at some content
+    does.  The first solve sweeps U with its right-hand side and closes the
+    capacitance C = I - V^T M0^{-1} U (``z`` holds M0^{-1} U, ``cap`` the LU
+    of C); each solve is then one sweep and a Sherman-Morrison-Woodbury
+    update (Hager, SIAM Review 31(2), 1989).  ``block`` is the theta_max
+    block itself, kept to refine its solves.  ``kernel`` (2n, S) holds K's
+    entries at the layout's ``targets``, zero off a masked class, and
+    ``idle`` (theta_max + 1, n, L) its idle entries in level order.
+    ``active`` lists the columns of U inside the masked class (None: all).
+    """
+
+    model: SystemModel
+    layout: LevelLayout
+    kernel: np.ndarray
+    idle: np.ndarray
+    pin: np.ndarray
+    block: sp.csc_matrix
     lu: spla.SuperLU
-    order: np.ndarray
+    active: np.ndarray | None
+    z: np.ndarray | None = None
+    cap: tuple | None = None
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """M x = rhs, or M^T x = rhs with trans="T", in M's own unknowns."""
+        lay = self.layout
+        b = np.take(np.reshape(rhs, (lay.order.size, -1)), lay.order, axis=0)
         if trans == "T":
-            return self.lu.solve(rhs[self.order], trans="T")
-        y = self.lu.solve(rhs)
-        x = np.empty_like(y)
-        x[self.order] = y
+            if self.z is None:
+                self.close()
+            # M^{-T} = M0^{-T} (I + V C^{-T} z^T), as z^T = U^T M0^{-T}.
+            self._add_v(b, self._cap_solve(self.z.T @ b, trans=1))
+            self._sweep_t(b)
+        else:
+            # M^{-1} = (I + z C^{-1} V^T) M0^{-1}.
+            if self.z is None:
+                x = self._swept(b)
+                self._close(x)
+                b = x[:, : b.shape[1]]
+            else:
+                self._sweep(b)
+            b += self.z @ self._cap_solve(self._vt(b), trans=0)
+        return np.take(b, lay.position, axis=0).reshape(np.shape(rhs))
+
+    def matvec(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+        """M x, or M^T x with trans="T", for one vector in M's own unknowns."""
+        m = self.model
+        targets = self.layout.targets
+        h = x[:-1]
+        out = np.empty(x.size)
+        if trans == "T":
+            out[:-1] = h - np.bincount(targets.ravel(), (self.kernel * h).ravel(), h.size)
+            out[m.ref_index] += x[-1]
+            out[-1] = h.sum()
+        else:
+            out[:-1] = h - (self.kernel * h.take(targets)).sum(axis=0) + x[-1]
+            out[-1] = h[m.ref_index]
+        return out
+
+    def close(self) -> None:
+        """Sweep U alone and close the capacitance, which the first solve
+        does otherwise; raises RuntimeError when it is exactly singular."""
+        self._close(self._swept(np.zeros((self.layout.order.size, 0))))
+
+    def _swept(self, b: np.ndarray) -> np.ndarray:
+        """M0^{-1} [b, U] from one sweep, as one level-order array."""
+        lay = self.layout
+        n, s_count = lay.succ_col.shape
+        width = b.shape[1] + lay.resets.size + 1
+        x = np.zeros((s_count + 1, width))
+        x[:, : b.shape[1]] = b
+        # A state's n success targets differ (one per next source state),
+        # so U's entries are set, not summed.
+        flat = np.arange(0, s_count * width, width) + (b.shape[1] + lay.succ_col)
+        x.reshape(-1)[flat] = self.kernel[n:].take(lay.order[:-1], axis=1)
+        x[-1, -1] = -1.0
+        self._sweep(x)
         return x
 
+    def _vt(self, x: np.ndarray) -> np.ndarray:
+        """V^T x: x at T, and x at the reference state less its pin average."""
+        lay = self.layout
+        top = x.shape[0] - self.pin.size - 1
+        out = np.empty((lay.resets.size + 1, x.shape[1]))
+        out[:-1] = x[lay.resets]
+        out[-1] = x[lay.position[self.model.ref_index]] - self.pin @ x[top:-1]
+        return out
 
-def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None):
-    """Sparse LU of the pinned system M = [[I - K(q), 1], [e_ref, 0]].
+    def _add_v(self, x: np.ndarray, s: np.ndarray) -> None:
+        """x += V s in place."""
+        lay = self.layout
+        top = x.shape[0] - self.pin.size - 1
+        x[lay.resets] += s[:-1]
+        x[lay.position[self.model.ref_index]] += s[-1]
+        x[top:-1] -= self.pin[:, None] * s[-1]
+
+    def _close(self, x: np.ndarray) -> None:
+        """Keep z = M0^{-1} U, the last columns of ``x``, and the LU of the
+        capacitance over the ``active`` columns."""
+        z = x[:, x.shape[1] - self.layout.resets.size - 1 :]
+        cap = -self._vt(z)
+        cap.flat[:: cap.shape[0] + 1] += 1.0
+        if self.active is not None:
+            cap = cap[np.ix_(self.active, self.active)]
+        lu, piv, info = _GETRF(cap)
+        if info > 0:
+            raise RuntimeError("capacitance is exactly singular")
+        self.z, self.cap = z, (lu, piv)
+
+    def _cap_solve(self, r: np.ndarray, trans: int) -> np.ndarray:
+        """C^{-1} r (trans=0) or C^{-T} r (trans=1), zero off ``active``."""
+        if self.active is None:
+            return _GETRS(*self.cap, r, trans=trans)[0]
+        v = np.zeros_like(r)
+        v[self.active] = _GETRS(*self.cap, r[self.active], trans=trans)[0]
+        return v
+
+    def _sweep(self, x: np.ndarray) -> None:
+        """x <- M0^{-1} x in place: the theta_max block with the gain, then
+        each lower level from the level above."""
+        size = self.pin.size
+        top = x.shape[0] - size - 1
+        y = self.lu.solve(x[top:])
+        # One step of iterative refinement: biases reach 1e5, and J and F
+        # must hold to 1e-12 for the price search.
+        y += self.lu.solve(x[top:] - self.block @ y)
+        x[top:] = np.take(y, self.layout.top_position, axis=0)
+        x[:top] -= x[-1]
+        for theta in range(top // size - 1, -1, -1):
+            lo = theta * size
+            above = np.take(x[lo + size : lo + 2 * size], self.layout.idle_local[theta], axis=0)
+            x[lo : lo + size] += np.einsum("kl,klc->lc", self.idle[theta], above)
+
+    def _sweep_t(self, x: np.ndarray) -> None:
+        """x <- M0^{-T} x in place: each level's mass flows into the level
+        above, then the theta_max block with the gain row."""
+        size = self.pin.size
+        top = x.shape[0] - size - 1
+        for theta in range(top // size):
+            lo = theta * size
+            targets = self.layout.idle_local[theta].ravel()
+            for col in range(x.shape[1]):
+                flow = self.idle[theta] * x[lo : lo + size, col]
+                x[lo + size : lo + 2 * size, col] += np.bincount(targets, flow.ravel(), size)
+        x[-1] -= x[:top].sum(axis=0)
+        x[top:] = self.lu.solve(np.take(x[top:], self.layout.top_order, axis=0), trans="T")
+
+
+def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None) -> _LevelFactor:
+    """Factor of the pinned system M = [[I - K(q), 1], [e_ref, 0]].
 
     The unknowns are (bias, gain): M [h; g] = [c; 0] is the gain/bias system
     with h = 0 at the model's reference state, and M^T [mu; 0] = [0; 1] is
     the stationary law.  ``states``, when given, is a closed set of the
-    chain containing the reference state, and K's rows off it are masked
-    out (``_pinned_matrix``); the system keeps its full size.  The matrix is
-    one numeric fill of the model's ``pinned_pattern``, its columns already
-    in ``pinned_order``, so SuperLU skips its own ordering.  Returns a
-    ``_PinnedFactor``; raises RuntimeError when M is exactly singular.
+    chain containing the reference state.  K's rows off it are zeroed, so
+    each state off it keeps only its own row h + g = c, which no state of
+    the set reads: the set's equations are those of the restricted chain,
+    and the stationary law is zero off it.  The system keeps its full size.
+    Only the theta_max block with its border, one numeric fill of the
+    model's ``level_layout`` pattern, goes to SuperLU; the rest is solved
+    along the levels (``_LevelFactor``).  Raises RuntimeError when M is
+    exactly singular, and without ``states`` when two closed classes of the
+    theta_max level's idle chain (``LevelLayout.top_closed``) hold no
+    transmitting state: they are closed classes of K(q) too, and both
+    that block and M are singular.
     """
-    matrix, order = _pinned_matrix(model, tx_prob, states)
-    # relax = panel_size = 1 keep SuperLU's working memory down: at
-    # S = 24 025 one factor raises the peak by about 18 MiB against 25 MiB
-    # with the defaults, and a price sweep there runs no slower.
-    lu = spla.splu(matrix, permc_spec="NATURAL", relax=1, panel_size=1)
-    return _PinnedFactor(matrix, lu, order)
+    lay = model.level_layout
+    n, size = model.n_states, lay.idle_local.shape[2]
+    if states is None:
+        sends = np.asarray(tx_prob)[lay.order[-size - 1 : -1]] > 0
+        quiet = np.bincount(lay.top_closed + 1, sends, lay.top_closed.max() + 2)[1:] == 0
+        if np.count_nonzero(quiet) >= 2:
+            raise RuntimeError("two closed classes at theta_max never transmit")
+    kernel = _kernel_values(model, tx_prob)
+    pin = np.full(size, 1.0 / size)
+    active = None
+    if states is not None:
+        keep = np.zeros(kernel.shape[1], dtype=bool)
+        keep[states] = True
+        kernel[:, ~keep] = 0.0
+        pin = keep[lay.order[-size - 1 : -1]].astype(float)
+        pin /= pin.sum()
+        active = np.flatnonzero(np.append(keep[lay.order[lay.resets]], True))
+    idle = kernel[:n].take(lay.order[:-1], axis=1).reshape(n, -1, size).transpose(1, 0, 2)
+    indices, indptr, k_slot, unit_slot, pin_slot = lay.top
+    data = -np.bincount(k_slot, idle[-1].ravel(), indices.size)
+    data[unit_slot] += 1.0
+    data[pin_slot] = pin
+    block = sp.csc_matrix((data, indices, indptr), shape=(size + 1, size + 1))
+    lu = spla.splu(block, permc_spec="NATURAL", relax=1, panel_size=1)
+    return _LevelFactor(model, lay, kernel, idle, pin, block, lu, active)
 
 
 def _class_lu(model: SystemModel, tx_prob: np.ndarray):
-    """K(q), the closed class reachable from the reference state, and the
-    LU of the pinned system masked to that class (``_pinned_lu``).  Raises
-    ConvergenceFailure when that system is singular."""
+    """K(q), the set reachable from the reference state, and the factor of
+    the pinned system masked to that set (``_pinned_lu``), its capacitance
+    closed.  Raises ConvergenceFailure when that system is exactly singular.
+
+    The set is closed, but it is one class only when the reference state
+    is recurrent.  When the reference state is transient, the set can hold
+    two closed classes (a policy that never transmits at two contents of
+    the theta_max level, say), the masked system is singular too, and the
+    factor returns one of its many solutions instead of raising; the
+    caller's residual check is what accepts or refuses it.
+    """
     kernel = induced_kernel(model, tx_prob)
     reach = reachable_set(kernel, model.ref_index)
     try:
-        return kernel, reach, _pinned_lu(model, tx_prob, reach)
+        factor = _pinned_lu(model, tx_prob, reach)
+        factor.close()
     except RuntimeError as exc:  # exactly singular
         raise ConvergenceFailure(f"class of the reference state is not unichain: {exc}") from exc
+    return kernel, reach, factor
 
 
 def reachable_set(kernel: sp.csr_matrix, start: int) -> np.ndarray:
@@ -349,8 +550,9 @@ def _span(x: np.ndarray) -> float:
 def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float) -> GainBias:
     """Gain and bias of a fixed policy, bias pinned to zero at model.ref_index.
 
-    One sparse LU of the pinned system gives the (J, F) split and the bias
-    parts (h_err, h_tx) as two right-hand sides; the gain and bias at lam
+    One solve of the pinned system (``_pinned_lu``) gives the (J, F) split
+    and the bias parts (h_err, h_tx) as two right-hand sides; the gain and
+    bias at lam
     are J + lam * F and h_err + lam * h_tx, the formula ``_repriced``
     applies at any other price.  When that system is singular or the
     residual of (gain, bias) exceeds RESIDUAL_TOL (a policy whose chain
@@ -361,24 +563,18 @@ def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float)
     q = policy.actions.astype(float)
     costs = _stage_costs(model, policy.actions)
     rhs = np.vstack([costs.T, np.zeros((1, 2))])
-    # The bias and its parts outlive the factor, so they are allocated
-    # first: placed above SuperLU's freed work memory they would keep the
-    # heap from shrinking, and the peak resident memory of a constrained
-    # solve creeps up by MiBs.
-    parts = np.empty((2, model.num_mdp_states))
-    bias = np.empty(model.num_mdp_states)
     try:
         factor = _pinned_lu(model, q)
-    except RuntimeError:  # exactly singular
+        sol = factor.solve(rhs)
+    except RuntimeError:  # singular
         return _evaluate_on_class(model, q, lam, costs)
-    sol = factor.solve(rhs)
+    sol[:-1] -= sol[model.ref_index]  # h = 0 at ref exactly; K's rows sum to one
     priced = sol[:, 0] + lam * sol[:, 1]  # (bias, gain) at lam
-    resid = factor.matrix @ priced[factor.order] - (rhs[:, 0] + lam * rhs[:, 1])
-    resid = float(np.abs(resid).max())
+    resid = float(np.abs(factor.matvec(priced) - (rhs[:, 0] + lam * rhs[:, 1])).max())
     if not resid <= RESIDUAL_TOL:
         return _evaluate_on_class(model, q, lam, costs)
-    parts[:] = sol[:-1].T
-    bias[:] = priced[:-1]
+    parts = np.ascontiguousarray(sol[:-1].T)
+    bias = priced[:-1]
     j, f = sol[-1]
     return GainBias(
         gain=float(priced[-1]),
@@ -405,6 +601,7 @@ def _evaluate_on_class(model, q, lam, costs) -> GainBias:
     sol = factor.solve(np.vstack([costs.T, np.zeros((1, 2))]))
     if not np.all(np.isfinite(sol)):
         raise ConvergenceFailure("class-restricted evaluation returned non-finite values")
+    sol[:-1] -= sol[model.ref_index]  # the class's rows of K sum to one
     j, f = sol[-1]
     gain = j + lam * f
     cost = costs[0] + lam * costs[1]

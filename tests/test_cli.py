@@ -102,6 +102,32 @@ class TestCommands:
         lines = out.read_text().splitlines()
         assert lines[0].split(",")[:5] == ["config_digest", "lambda", "F", "J", "L"]
 
+    def test_solve_lambda_reads_rates_from_its_solve(self, config_path, tmp_path, monkeypatch):
+        # F and J come from the solve's own pinned system, with no second
+        # stationary law; they agree with it.
+        import remest.constrained
+        import remest.evaluation
+        from remest import spi_solve, stationary_metrics
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stationary_metrics(*args, **kwargs)
+
+        for module in (remest.evaluation, remest.constrained):
+            monkeypatch.setattr(module, "stationary_metrics", counted)
+        out = tmp_path / "pt.json"
+        args = ["solve-lambda", "--config", config_path, "--lam", "5", "--format", "json"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert calls == []
+        rec = json.loads(out.read_text())["records"][0]
+        model = SystemConfig.from_file(config_path).build_model()
+        met = stationary_metrics(model, spi_solve(model, 5.0)[0])
+        assert abs(rec["F"] - met.F) <= 1e-12
+        assert abs(rec["J"] - met.J) <= 1e-12
+        assert abs(rec["L"] - (met.J + 5.0 * met.F)) <= 1e-11
+
     def test_sweep_schema_and_determinism(self, config_path, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         args = ["sweep", "--config", config_path, "--lambdas", "0:4:1"]

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from remest import (
     ConvergenceFailure,
@@ -26,7 +28,8 @@ from remest import (
     validate_chain,
 )
 import remest.solver
-from remest.solver import RESIDUAL_TOL, _pinned_matrix, _repriced, induced_kernel, reachable_set
+from remest.evaluation import STATIONARY_TOL
+from remest.solver import RESIDUAL_TOL, _class_lu, _pinned_lu, _repriced, induced_kernel, reachable_set
 from conftest import LAMBDA_GRID, MAIN_ROWS, main_age_function, small_random_model
 
 
@@ -191,13 +194,18 @@ def dense_class_solution(model, tx_prob, lam=0.0):
 class TestPinnedOrder:
     def test_made_on_first_factor_and_reused(self):
         model = small_random_model(np.random.default_rng(3))
-        assert "pinned_order" not in vars(model)
+        assert "level_layout" not in vars(model)
         policy_evaluate(model, reactive_policy(model), 2.0)
-        order = vars(model)["pinned_order"]
-        assert np.array_equal(np.sort(order), np.arange(model.num_mdp_states + 1))
+        layout = vars(model)["level_layout"]
+        assert np.array_equal(np.sort(layout.order), np.arange(model.num_mdp_states + 1))
+        assert np.array_equal(layout.order[layout.position], np.arange(model.num_mdp_states + 1))
         policy_evaluate(model, never_transmit_policy(model), 2.0)
         spi_solve(model, 2.0)
-        assert vars(model)["pinned_order"] is order
+        stationary_metrics(model, never_transmit_policy(model))
+        assert vars(model)["level_layout"] is layout
+        # int32 throughout: the layout lives as long as the model.
+        arrays = [layout.order, layout.position, layout.idle_local, layout.resets, layout.succ_col]
+        assert all(a.dtype == np.int32 for a in arrays + list(layout.top))
 
     @pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
     def test_mixture_stationary_law_matches_dense(self, fixture, request, solved_main):
@@ -486,9 +494,10 @@ def test_threshold_view_matches_loop_reference(fixture, request):
 
 
 def coo_pinned_matrix(model, tx_prob, states=None):
-    """Reference assembly of M[:, order] through COO, one matrix at a time:
-    K(q)'s nonzero triplets gathered from the targets, only the rows of
-    ``states`` when given, then the identity and the border."""
+    """Reference assembly of M through COO, one matrix at a time, columns in
+    the natural order: K(q)'s nonzero triplets gathered from the targets,
+    only the rows of ``states`` when given, then the identity and the
+    border."""
     s_count, n = model.idle_targets.shape
     w = model.p_s * np.asarray(tx_prob, dtype=float)
     rows = np.tile(np.repeat(np.arange(s_count), n), 2)
@@ -498,37 +507,25 @@ def coo_pinned_matrix(model, tx_prob, states=None):
     )
     keep = probs != 0.0
     rows, cols, probs = rows[keep], cols[keep], probs[keep]
-    s_ref, order = model.ref_index, model.pinned_order
     if states is not None:
         keep = np.isin(rows, states)
         rows, cols, probs = rows[keep], cols[keep], probs[keep]
-    m = order.size - 1
-    pos = np.argsort(order)
+    m = s_count
     diag = np.arange(m)
-    matrix = sp.csc_matrix(
+    return sp.csc_matrix(
         (
             np.concatenate([-probs, np.ones(2 * m + 1)]),
             (
                 np.concatenate([rows, diag, diag, [m]]),
-                pos[np.concatenate([cols, diag, np.full(m, m), [s_ref]])],
+                np.concatenate([cols, diag, np.full(m, m), [model.ref_index]]),
             ),
         ),
         shape=(m + 1, m + 1),
     )
-    return matrix, order
-
-
-def assert_same_csc(a, b):
-    # The same sorted arrays mean equal dense matrices and the same sparsity,
-    # and so the same LU; a dense pair at S = 3 969 would take 250 MB.
-    assert a.shape == b.shape
-    assert np.array_equal(a.indptr, b.indptr)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("fixture", ["main_model", "paper_model", "zoh_model"])
-def test_pattern_fill_matches_coo_reference(fixture, request, solved_main):
+def test_level_solve_matches_coo_reference(fixture, request, solved_main):
     model = request.getfixturevalue(fixture)
     rng = np.random.default_rng(5)
     mix = solved_main(model, 0.1).policy
@@ -541,32 +538,70 @@ def test_pattern_fill_matches_coo_reference(fixture, request, solved_main):
         mix.p * mix.policy_minus.actions + (1.0 - mix.p) * mix.policy_plus.actions,
     ]
     assert cases[2][model.idle_pinned].any()
-    built = []
+    s_count = model.num_mdp_states
+    rhs = np.vstack([rng.uniform(0.0, 2.0, (s_count, 2)), [0.0, 0.0]])
+    unit = np.zeros(s_count + 1)
+    unit[-1] = 1.0
+    solved = []
     for q in cases:
         q = np.asarray(q, dtype=float)
         reach = reachable_set(induced_kernel(model, q), model.ref_index)
         for states in (None, reach):
-            matrix, order = _pinned_matrix(model, q, states)
-            expected, expected_order = coo_pinned_matrix(model, q, states)
-            assert_same_csc(matrix, expected)
-            assert np.array_equal(order, expected_order)
-            built.append((matrix.copy(), matrix, expected))
-    # Later fills must leave earlier matrices, and the cached pattern, alone.
-    for kept, matrix, expected in built:
-        assert_same_csc(matrix, kept)
-        assert_same_csc(matrix, expected)
+            if states is None and not q.any():
+                # Never transmitting splits the chain into closed classes
+                # with unequal gains: M is singular.
+                with pytest.raises(RuntimeError):
+                    _pinned_lu(model, q)
+                continue
+            factor = _pinned_lu(model, q, states)
+            matrix = coo_pinned_matrix(model, q, states)
+            expected = spla.spsolve(matrix, rhs)
+            expected_mu = spla.spsolve(matrix.T.tocsc(), unit)
+            got = factor.solve(rhs)
+            got_mu = factor.solve(unit, trans="T")
+            # Biases reach 1e5 on these models: compare against the largest.
+            assert np.abs(got - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
+            assert np.abs(got_mu - expected_mu).max() <= 1e-12
+            solved.append((factor, got, got_mu))
+    # The layout is shared: later factors must leave earlier ones alone.
+    for factor, got, got_mu in solved:
+        assert np.abs(factor.solve(rhs) - got).max() <= 1e-9 * max(1.0, np.abs(got).max())
+        assert np.abs(factor.solve(unit, trans="T") - got_mu).max() <= 1e-12
 
 
-def test_pattern_made_on_first_factor_and_reused():
-    model = small_random_model(np.random.default_rng(3))
-    assert "pinned_pattern" not in vars(model)
-    policy_evaluate(model, reactive_policy(model), 2.0)
-    pattern = vars(model)["pinned_pattern"]
-    spi_solve(model, 2.0)
-    stationary_metrics(model, never_transmit_policy(model))
-    assert vars(model)["pinned_pattern"] is pattern
-    # int32 throughout: the pattern lives as long as the model.
-    assert [a.dtype for a in pattern] == [np.dtype(np.int32)] * 4
+def check_level_layout(model):
+    """The structure the level solve rests on: idle slots climb one AoI
+    level (capped at theta_max), successes land in the reset set, and the
+    reference state sits at theta_max."""
+    tm, n, dm = model.theta_max, model.n_states, model.delta_max
+    layout = model.level_layout
+    size = n * n * (dm + 1)
+    climb = np.minimum(model.theta_of + 1, tm)
+    assert np.array_equal(model.theta_of[model.idle_targets], np.repeat(climb[:, None], n, 1))
+    levels = model.theta_of[layout.order[:-1]]
+    assert np.array_equal(levels, np.repeat(np.arange(tm + 1), size))
+    local = layout.position[model.idle_targets[layout.order[:-1]]] % size
+    assert np.array_equal(local.T.reshape(n, tm + 1, size).transpose(1, 0, 2), layout.idle_local)
+    resets = layout.order[layout.resets]
+    assert np.isin(model.succ_targets, resets).all()
+    assert resets.size <= n * n + n * (dm + 1)
+    assert np.array_equal(resets[layout.succ_col], model.succ_targets[layout.order[:-1]].T)
+    assert model.theta_of[model.ref_index] == tm
+    assert layout.position[model.ref_index] // size == tm
+
+
+@pytest.mark.parametrize(
+    "fixture", ["main_model", "paper_model", "zoh_model", "paper_zoh_model", "sym_model"]
+)
+def test_level_layout_invariants(fixture, request):
+    check_level_layout(request.getfixturevalue(fixture))
+
+
+@pytest.mark.parametrize("timing", ["immediate", "delayed"])
+def test_level_layout_invariants_random_models(timing):
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        check_level_layout(small_random_model(rng, timing=timing))
 
 
 def test_class_route_still_taken_at_high_price(main_config):
@@ -576,6 +611,31 @@ def test_class_route_still_taken_at_high_price(main_config):
     gb = policy_evaluate(model, never_transmit_policy(model), 1000.0)
     assert gb.method == "class-solve"
     assert gb.residual <= RESIDUAL_TOL
+
+
+def test_class_set_with_two_closed_classes(main_config):
+    # The reactive policy cut to content 0 never transmits at contents 1
+    # and 2.  The reference state (content 0) is then transient, and the
+    # set reachable from it holds two closed classes, contents 1 and 2 at
+    # theta_max.  The masked system is singular; the factor still returns
+    # a solution of the balance equations instead of raising.
+    model = main_config.with_overrides(delta_max=2).build_model(timing="delayed")
+    q = (reactive_policy(model).actions * (model.z_of == 0)).astype(float)
+    kernel, reach, factor = _class_lu(model, q)
+    sub = kernel[reach][:, reach]
+    count, label = connected_components(sub, directed=True, connection="strong")
+    closed = [reach[label == c] for c in range(count) if (label[sub[label == c].indices] == c).all()]
+    assert sorted(int(model.z_of[c[0]]) for c in closed) == [1, 2]
+    for members in closed:
+        assert members.size == 5
+        assert (model.theta_of[members] == model.theta_max).all()
+        assert np.unique(model.z_of[members]).size == 1
+        assert not q[members].any()
+        assert model.ref_index not in members
+    rhs = np.zeros(model.num_mdp_states + 1)
+    rhs[-1] = 1.0
+    sol = factor.solve(rhs, trans="T")
+    assert np.abs(factor.matvec(sol, trans="T") - rhs).max() <= STATIONARY_TOL
 
 
 @pytest.mark.parametrize("timing", ["immediate", "delayed"])
