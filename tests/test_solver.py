@@ -201,11 +201,7 @@ class TestPinnedOrder:
         assert np.array_equal(layout.order[layout.position], np.arange(model.num_mdp_states + 1))
         policy_evaluate(model, never_transmit_policy(model), 2.0)
         spi_solve(model, 2.0)
-        stationary_metrics(model, never_transmit_policy(model))
         assert vars(model)["level_layout"] is layout
-        # int32 throughout: the layout lives as long as the model.
-        arrays = [layout.order, layout.position, layout.idle_local, layout.resets, layout.succ_col]
-        assert all(a.dtype == np.int32 for a in arrays + list(layout.top))
 
     @pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
     def test_mixture_stationary_law_matches_dense(self, fixture, request, solved_main):
@@ -602,6 +598,19 @@ def test_level_layout_invariants_random_models(timing):
     rng = np.random.default_rng(13)
     for _ in range(5):
         check_level_layout(small_random_model(rng, timing=timing))
+
+
+def test_pattern_made_on_first_factor_and_reused():
+    model = small_random_model(np.random.default_rng(3))
+    assert "level_layout" not in vars(model)
+    policy_evaluate(model, reactive_policy(model), 2.0)
+    layout = vars(model)["level_layout"]
+    spi_solve(model, 2.0)
+    stationary_metrics(model, never_transmit_policy(model))
+    assert vars(model)["level_layout"] is layout
+    # int32 throughout: the layout lives as long as the model.
+    arrays = [layout.order, layout.position, layout.idle_local, layout.resets, layout.succ_col]
+    assert all(a.dtype == np.int32 for a in arrays + list(layout.top))
 
 
 def test_class_route_still_taken_at_high_price(main_config):
