@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Per-call medians of the solver's layers on a fixed ladder of model sizes.
 
-Prints JSON with, for each rung, the state count and the median seconds per
-call of ``policy_evaluate``, of ``stationary_metrics`` for a deterministic
-policy and for a mixture, and of a cold ``spi_solve``.  The rungs are
+Prints JSON with, for each rung, the state count, the number |T| of reset
+states and the number G of success rows (the level solve's Woodbury update
+has G + 1 columns; G is null on a checkout whose layout has no success
+groups, where the update has |T| + 1), and the median seconds per call of
+``policy_evaluate``, of ``stationary_metrics`` for a deterministic policy
+and for a mixture, and of a cold ``spi_solve``.  The rungs are
 
 * S = 378: the ZOH model of ``configs/three_state.json``, delayed timing;
 * S = 3 969: the MAP model of that config, delayed timing;
@@ -76,8 +79,12 @@ def ladder(config_path: str, seconds: float) -> dict:
         other = spi_solve(model, MIX_PRICE)[0]
         diff = np.flatnonzero(policy.actions != other.actions).tolist()
         mixture = MixturePolicy(p=0.5, policy_minus=other, policy_plus=policy, differing_states=diff)
+        layout = model.level_layout
+        weights = getattr(layout, "weights", None)
         out[label] = {
             "states": model.num_mdp_states,
+            "resets": int(layout.resets.size),
+            "groups": None if weights is None else int(weights.shape[0]),
             "policy_evaluate_s": _median_seconds(lambda: policy_evaluate(model, policy, PRICE), seconds),
             "stationary_metrics_s": _median_seconds(lambda: stationary_metrics(model, policy), seconds),
             "stationary_metrics_mixture_s": _median_seconds(

@@ -14,9 +14,9 @@ share one solver of the pinned bordered system M = [[I - K(q), 1],
 [e_ref, 0]], where K(q) is the kernel induced by a per-state transmit
 probability q and the bias is pinned to zero at the model's reference
 state.  Each slot the info age either grows by one (capped at theta_max)
-or a delivery resets the state to one of a few reset states T.  So M is
+or a delivery resets the state into T by one of G success rows.  So M is
 M0 - U V^T: M0 holds the idle part and the border and is block-triangular
-along the age levels, and U V^T, of rank |T| + 1, holds the deliveries and
+along the age levels, and U V^T, of rank G + 1, holds the deliveries and
 the pin.  M0 is solved by a SuperLU factor of its theta_max block and one
 gather per lower level, M by a Sherman-Morrison-Woodbury update of that
 (``_LevelFactor``).  The level layout (``LevelLayout``) is made once per
@@ -231,12 +231,14 @@ class LevelLayout:
     min(theta + 1, theta_max): ``idle_local[theta, k, i]`` is the position,
     within that level, of the idle target of the level's i-th state when
     the source moves to k.  A success moves a state to a reset state:
-    ``resets`` holds the level positions of the reset set T and
-    ``succ_col[k, p]`` the column of T of the success target of level
-    position p.  ``targets`` (2n, S) lists each state's idle, then its
-    success targets.  ``top`` is the CSC pattern of the theta_max block with
-    its border, columns in a fill-reducing order (block column
-    ``top_order[j]`` is stored at j, and block column c at
+    ``resets`` holds the level positions of the reset set T.  States with
+    equal success targets share a success row: ``group[p]`` numbers the row
+    of level position p, and ``weights`` (G, |T|) holds the G rows at the
+    columns of T, so the success part of K(q) is diag(p_s q) E W S_T (E the
+    S x G group indicator, S_T picking T).  ``targets`` (2n, S) lists each
+    state's idle, then its success targets.  ``top`` is the CSC pattern of
+    the theta_max block with its border, columns in a fill-reducing order
+    (block column ``top_order[j]`` is stored at j, and block column c at
     ``top_position[c]``): indices, indptr, and the data slots of the idle
     entries, of the unit entries (identity and border column) and of the
     border row.  ``top_closed`` numbers the closed classes of the idle
@@ -248,7 +250,8 @@ class LevelLayout:
     position: np.ndarray
     idle_local: np.ndarray
     resets: np.ndarray
-    succ_col: np.ndarray
+    group: np.ndarray
+    weights: np.ndarray
     targets: np.ndarray
     top: tuple
     top_order: np.ndarray
@@ -266,7 +269,13 @@ def level_layout(model: SystemModel) -> LevelLayout:
     order = np.append(states, s_count)
     position = np.argsort(order)
     idle_local = position[model.idle_targets[states].T] % size
-    reset_states, succ_col = np.unique(model.succ_targets[states].T, return_inverse=True)
+    # Targets carry the content x, so a distinct row of them is a success row.
+    reset_states, col = np.unique(model.succ_targets[states], return_inverse=True)
+    group = np.zeros(states.size, dtype=np.int64)
+    for c in col.reshape(-1, n).T:  # number the distinct rows, one column at a time
+        _, group = np.unique(group * reset_states.size + c, return_inverse=True)
+    weights = np.zeros((group.max() + 1, reset_states.size))
+    weights[group[:, None], col.reshape(-1, n)] = model.source_rows[states]
     diag = np.arange(size)
     rows = np.concatenate([np.tile(diag, n), diag, diag, np.full(size, size)])
     cols = np.concatenate([idle_local[:, tm * size :].ravel(), diag, np.full(size, size), diag])
@@ -292,7 +301,8 @@ def level_layout(model: SystemModel) -> LevelLayout:
         position=position.astype(np.int32),
         idle_local=idle_local.reshape(n, tm + 1, size).transpose(1, 0, 2).astype(np.int32),
         resets=position[reset_states].astype(np.int32),
-        succ_col=succ_col.reshape(n, s_count).astype(np.int32),
+        group=group.astype(np.int32),
+        weights=weights,
         targets=np.vstack([model.idle_targets.T, model.succ_targets.T]).astype(np.int32),
         top=tuple(a.astype(np.int32) for a in top),
         top_order=np.argsort(top_position).astype(np.int32),
@@ -306,31 +316,34 @@ class _LevelFactor:
     """The pinned system M, split as M = M0 - U V^T and solved along the AoI
     levels (``_pinned_lu``).
 
-    M0 keeps the idle part of K and the border, with its pin row spread
-    over the theta_max level (``pin``, positive on every state of the
-    reference class there) instead of set at the reference state.  U V^T
-    holds the rest: the success part, |T| columns of K at the reset set T,
-    and the move of the pin to the reference state, one more column.  M0 is
-    block-triangular in the level order, so M0^{-1} is a SuperLU solve of
-    its theta_max block with the border (``lu``) followed by one gather per
-    lower level from the level above (``_sweep``); M0^{-T} runs the same
-    steps in reverse (``_sweep_t``).  Spreading the pin keeps that block
-    nonsingular when the theta_max level holds one closed class without
-    the reference state, as a policy that never transmits at some content
-    does.  The first solve sweeps U with its right-hand side and closes the
-    capacitance C = I - V^T M0^{-1} U (``z`` holds M0^{-1} U, ``cap`` the LU
-    of C); each solve is then one sweep and a Sherman-Morrison-Woodbury
-    update (Hager, SIAM Review 31(2), 1989).  ``block`` is the theta_max
-    block itself, kept to refine its solves.  ``kernel`` (2n, S) holds K's
-    entries at the layout's ``targets``, zero off a masked class, and
-    ``idle`` (theta_max + 1, n, L) its idle entries in level order.
-    ``active`` lists the columns of U inside the masked class (None: all).
+    M0 keeps the idle part of K and the border, with its pin row spread over
+    the theta_max level (``pin``, positive on every state of the reference
+    class there) instead of set at the reference state.  U V^T holds the
+    rest: the success part, G columns with U = diag(p_s q) E and V^T = W S_T
+    (``LevelLayout``), and the move of the pin to the reference state, one
+    more column.  M0 is block-triangular in the level order, so M0^{-1} is a
+    SuperLU solve of its theta_max block with the border (``lu``) followed
+    by one gather per lower level from the level above (``_sweep``); M0^{-T}
+    runs the same steps in reverse (``_sweep_t``).  Spreading the pin keeps
+    that block nonsingular when the theta_max level holds one closed class
+    without the reference state, as a policy that never transmits at some
+    content does.  The first solve sweeps U with its right-hand side and
+    closes the capacitance C = I - V^T M0^{-1} U (``z`` holds M0^{-1} U,
+    ``cap`` the LU of C); each solve is then one sweep and a
+    Sherman-Morrison-Woodbury update (Hager, SIAM Review 31(2), 1989).
+    ``block`` is the theta_max block itself, kept to refine its solves.
+    ``kernel`` (2n, S) holds K's entries at the layout's ``targets`` and
+    ``send`` p_s q in level order, both zero off a masked class, and
+    ``idle`` (theta_max + 1, n, L) K's idle entries in level order.
+    ``active`` lists the columns of U whose group holds a state of the
+    masked class (None: all).
     """
 
     model: SystemModel
     layout: LevelLayout
     kernel: np.ndarray
     idle: np.ndarray
+    send: np.ndarray
     pin: np.ndarray
     block: sp.csc_matrix
     lu: spla.SuperLU
@@ -382,39 +395,33 @@ class _LevelFactor:
     def _swept(self, b: np.ndarray) -> np.ndarray:
         """M0^{-1} [b, U] from one sweep, as one level-order array."""
         lay = self.layout
-        n, s_count = lay.succ_col.shape
-        width = b.shape[1] + lay.resets.size + 1
-        x = np.zeros((s_count + 1, width))
+        x = np.zeros((lay.order.size, b.shape[1] + lay.weights.shape[0] + 1))
         x[:, : b.shape[1]] = b
-        # A state's n success targets differ (one per next source state),
-        # so U's entries are set, not summed.
-        flat = np.arange(0, s_count * width, width) + (b.shape[1] + lay.succ_col)
-        x.reshape(-1)[flat] = self.kernel[n:].take(lay.order[:-1], axis=1)
+        x[np.arange(self.send.size), b.shape[1] + lay.group] = self.send
         x[-1, -1] = -1.0
         self._sweep(x)
         return x
 
     def _vt(self, x: np.ndarray) -> np.ndarray:
-        """V^T x: x at T, and x at the reference state less its pin average."""
+        """V^T x: W times x at T, and x at the reference state less its pin
+        average."""
         lay = self.layout
         top = x.shape[0] - self.pin.size - 1
-        out = np.empty((lay.resets.size + 1, x.shape[1]))
-        out[:-1] = x[lay.resets]
-        out[-1] = x[lay.position[self.model.ref_index]] - self.pin @ x[top:-1]
-        return out
+        ref = x[lay.position[self.model.ref_index]] - self.pin @ x[top:-1]
+        return np.vstack([lay.weights @ x[lay.resets], ref])
 
     def _add_v(self, x: np.ndarray, s: np.ndarray) -> None:
         """x += V s in place."""
         lay = self.layout
         top = x.shape[0] - self.pin.size - 1
-        x[lay.resets] += s[:-1]
+        x[lay.resets] += lay.weights.T @ s[:-1]
         x[lay.position[self.model.ref_index]] += s[-1]
         x[top:-1] -= self.pin[:, None] * s[-1]
 
     def _close(self, x: np.ndarray) -> None:
         """Keep z = M0^{-1} U, the last columns of ``x``, and the LU of the
         capacitance over the ``active`` columns."""
-        z = x[:, x.shape[1] - self.layout.resets.size - 1 :]
+        z = x[:, x.shape[1] - self.layout.weights.shape[0] - 1 :]
         cap = -self._vt(z)
         cap.flat[:: cap.shape[0] + 1] += 1.0
         if self.active is not None:
@@ -489,15 +496,17 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None) -> _LevelFa
         if np.count_nonzero(quiet) >= 2:
             raise RuntimeError("two closed classes at theta_max never transmit")
     kernel = _kernel_values(model, tx_prob)
+    send = model.p_s * np.asarray(tx_prob, dtype=float)[lay.order[:-1]]
     pin = np.full(size, 1.0 / size)
     active = None
     if states is not None:
         keep = np.zeros(kernel.shape[1], dtype=bool)
         keep[states] = True
         kernel[:, ~keep] = 0.0
-        pin = keep[lay.order[-size - 1 : -1]].astype(float)
-        pin /= pin.sum()
-        active = np.flatnonzero(np.append(keep[lay.order[lay.resets]], True))
+        inside = keep[lay.order[:-1]]
+        send *= inside
+        pin = inside[-size:] / np.count_nonzero(inside[-size:])
+        active = np.flatnonzero(np.append(np.bincount(lay.group, inside) > 0, True))
     idle = kernel[:n].take(lay.order[:-1], axis=1).reshape(n, -1, size).transpose(1, 0, 2)
     indices, indptr, k_slot, unit_slot, pin_slot = lay.top
     data = -np.bincount(k_slot, idle[-1].ravel(), indices.size)
@@ -505,7 +514,7 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None) -> _LevelFa
     data[pin_slot] = pin
     block = sp.csc_matrix((data, indices, indptr), shape=(size + 1, size + 1))
     lu = spla.splu(block, permc_spec="NATURAL", relax=1, panel_size=1)
-    return _LevelFactor(model, lay, kernel, idle, pin, block, lu, active)
+    return _LevelFactor(model, lay, kernel, idle, send, pin, block, lu, active)
 
 
 def _class_lu(model: SystemModel, tx_prob: np.ndarray):
@@ -661,19 +670,25 @@ def _evaluation(model: SystemModel, policy: DeterministicPolicy, lam: float, sta
     return (gb, *_q_factors(model, lam, gb.bias))
 
 
+def _tie_tol(d: np.ndarray) -> float:
+    """Ties are |d| <= TIE_TOL max|d|: Q round-off grows with the biases."""
+    return TIE_TOL * max(1.0, float(np.abs(d).max()))
+
+
 def _structured_improvement(model: SystemModel, d: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
     """One structured improvement pass on the Q-factor difference d = transmit
     - idle: ascend the error-age axis per triple, switch to transmit at the
     first improving age, keep transmit above it.
 
-    Ties fall back to the incumbent action to prevent policy cycling.  Each
-    (x, z, theta) triple is one row of the (triples, delta_max + 1) reshape;
-    returns the new action table.
+    Ties fall back to the incumbent action to prevent policy cycling
+    (``_tie_tol``).  Each (x, z, theta) triple is one row of the (triples,
+    delta_max + 1) reshape; returns the new action table.
     """
     dm = model.delta_max
+    tol = _tie_tol(d)
     d = _by_triple(model, d)
     inc = _by_triple(model, incumbent) == 1
-    prefer = np.where(d < -TIE_TOL, True, np.where(d > TIE_TOL, False, inc))
+    prefer = np.where(d < -tol, True, np.where(d > tol, False, inc))
     # Same-error triples transmit from the first preferred age below the
     # truncation corner on; the corner alone never sets the threshold.
     ramp = np.logical_or.accumulate(prefer[:, np.minimum(np.arange(dm + 1), dm - 1)], axis=1)
@@ -742,7 +757,7 @@ def rvi_solve(model: SystemModel, lam: float) -> tuple[DeterministicPolicy, Gain
             f"relative value iteration span above {RVI_SPAN_TOL} after {RVI_MAX_SWEEPS} sweeps"
         )
     q0, q1 = _q_factors(model, lam, v)
-    policy = DeterministicPolicy((q1 < q0 - TIE_TOL).astype(np.uint8))
+    policy = DeterministicPolicy((q1 - q0 < -_tie_tol(q1 - q0)).astype(np.uint8))
     comp = policy_evaluate(model, policy, lam)
     gb = GainBias(
         gain=gain,

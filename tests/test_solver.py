@@ -581,7 +581,12 @@ def check_level_layout(model):
     resets = layout.order[layout.resets]
     assert np.isin(model.succ_targets, resets).all()
     assert resets.size <= n * n + n * (dm + 1)
-    assert np.array_equal(resets[layout.succ_col], model.succ_targets[layout.order[:-1]].T)
+    succ = model.succ_targets[layout.order[:-1]]
+    one_row = np.unique(np.column_stack([layout.group, succ]), axis=0)[:, 0]
+    assert np.array_equal(one_row, np.arange(layout.weights.shape[0]))
+    rows = np.zeros((succ.shape[0], resets.size))
+    np.put_along_axis(rows, np.searchsorted(resets, succ), model.source_rows[layout.order[:-1]], 1)
+    assert np.array_equal(layout.weights[layout.group], rows)
     assert model.theta_of[model.ref_index] == tm
     assert layout.position[model.ref_index] // size == tm
 
@@ -609,8 +614,98 @@ def test_pattern_made_on_first_factor_and_reused():
     stationary_metrics(model, never_transmit_policy(model))
     assert vars(model)["level_layout"] is layout
     # int32 throughout: the layout lives as long as the model.
-    arrays = [layout.order, layout.position, layout.idle_local, layout.resets, layout.succ_col]
+    arrays = [layout.order, layout.position, layout.idle_local, layout.resets, layout.group]
     assert all(a.dtype == np.int32 for a in arrays + list(layout.top))
+
+
+# Chains far from diagonal dominance: under the delayed timing the success
+# targets carry the AoCE of the (source, estimate) pair, so the success rows
+# split into more groups G than source states.
+CROSS_CHAINS = {
+    "cycle": ([[0.2, 0.7, 0.1], [0.1, 0.2, 0.7], [0.7, 0.1, 0.2]], 24, 30),
+    "mixed": ([[0.3, 0.6, 0.1], [0.5, 0.2, 0.3], [0.1, 0.3, 0.6]], 17, 23),
+}
+
+
+def cross_model(name, timing="delayed"):
+    rows = CROSS_CHAINS[name][0]
+    chain = validate_chain(rows)
+    return build_model(chain, 0.7, "hamming", main_age_function(), 8, 8, "map", timing=timing)
+
+
+def test_success_groups_number_at_most_the_reset_states(request):
+    fixtures = ["main_model", "paper_model", "zoh_model", "paper_zoh_model", "sym_model"]
+    models = [request.getfixturevalue(f) for f in fixtures]
+    for name, (_, groups, resets) in CROSS_CHAINS.items():
+        model = cross_model(name)
+        check_level_layout(model)
+        assert model.level_layout.weights.shape == (groups, resets)
+        models += [model, cross_model(name, "immediate")]
+    rng = np.random.default_rng(13)
+    for timing in ("immediate", "delayed"):
+        models += [small_random_model(rng, timing=timing) for _ in range(3)]
+    for model in models:
+        layout = model.level_layout
+        assert layout.weights.shape[0] <= layout.resets.size
+        if model.timing == "immediate":
+            assert layout.weights.shape[0] == model.n_states
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHAINS))
+def test_grouped_deliveries_are_the_success_kernel(name):
+    model = cross_model(name)
+    layout = model.level_layout
+    s_count, order = model.num_mdp_states, model.level_layout.order[:-1]
+    rng = np.random.default_rng(7)
+    for q in (reactive_policy(model).actions, rng.uniform(0.0, 1.0, s_count), np.zeros(s_count)):
+        q = np.asarray(q, dtype=float)
+        reach = reachable_set(induced_kernel(model, q), model.ref_index)
+        for states in (None, reach) if q.any() else (reach,):
+            factor = _pinned_lu(model, q, states)
+            # U V^T from the layout: U = diag(p_s q) E, V^T = W S_T.
+            u = np.zeros((s_count, layout.weights.shape[0]))
+            u[order, layout.group] = factor.send
+            uvt = np.zeros((s_count, s_count))
+            uvt[:, order[layout.resets]] = u @ layout.weights
+            w = model.p_s * q
+            if states is not None:
+                w[np.setdiff1d(np.arange(s_count), states)] = 0.0
+            succ = np.zeros((s_count, s_count))
+            rows = np.arange(s_count)[:, None]
+            np.add.at(succ, (rows, model.succ_targets), w[:, None] * model.source_rows)
+            assert np.abs(uvt - succ).max() <= 1e-15
+            if states is not None:
+                inside = layout.group[np.isin(order, states)]
+                held = np.isin(np.arange(layout.weights.shape[0]), inside)
+                assert np.array_equal(factor.active, np.flatnonzero(np.append(held, True)))
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHAINS))
+def test_grouped_solve_matches_dense(name):
+    model = cross_model(name)
+    policies = [reactive_policy(model), spi_solve(model, 2.0)[0], never_transmit_policy(model)]
+    assert policies[1].actions.any()
+    for policy in policies:
+        q = policy.actions.astype(float)
+        reach, sol, mu = dense_class_solution(model, q, 2.0)
+        gb = policy_evaluate(model, policy, 2.0)
+        assert abs(gb.gain - sol[-1, 0]) <= 1e-10
+        assert np.abs(gb.bias[reach] - sol[:-1, 0]).max() <= 1e-10
+        met = stationary_metrics(model, policy)
+        assert np.array_equal(met.reachable, reach)
+        assert np.abs(met.mu[reach] - mu).max() <= 1e-10
+        assert abs(met.F - sol[-1, 2]) <= 1e-10 and abs(met.J - sol[-1, 1]) <= 1e-10
+    assert policy_evaluate(model, policies[2], 2.0).method == "class-solve"
+
+
+def test_spi_settles_between_two_nearby_crossings(main_model):
+    # The price lies between two per-state zero crossings 8.4e-12 apart, so
+    # 21 Q-differences are round-off of about 1e-12, where the largest is
+    # 7e4: an absolute tie tolerance of 1e-12 let SPI swap between two
+    # policies of equal gain until its pass cap.
+    _, gb, _ = spi_solve(main_model, 117.86340955112227)
+    assert abs(gb.f_component - 0.0343072) <= 1e-7
+    assert abs(gb.gain - 7.444513194966) <= 1e-9
 
 
 def test_class_route_still_taken_at_high_price(main_config):
