@@ -6,7 +6,9 @@ states and the number G of success rows (the level solve's Woodbury update
 has G + 1 columns; G is null on a checkout whose layout has no success
 groups, where the update has |T| + 1), and the median seconds per call of
 ``policy_evaluate``, of ``stationary_metrics`` for a deterministic policy
-and for a mixture, and of a cold ``spi_solve``.  The rungs are
+and for a mixture, of a cold ``spi_solve``, and of ``simulate`` for
+SIM_SLOTS slots of the mixture, with the slots per second that gives.  The
+rungs are
 
 * S = 378: the ZOH model of ``configs/three_state.json``, delayed timing;
 * S = 3 969: the MAP model of that config, delayed timing;
@@ -29,6 +31,7 @@ import time
 import numpy as np
 
 PRICE, MIX_PRICE = 5.0, 2.0
+SIM_SLOTS = 10**5
 
 
 def _ladder(config_path: str):
@@ -71,7 +74,7 @@ def _median_seconds(call, seconds: float) -> float:
 
 
 def ladder(config_path: str, seconds: float) -> dict:
-    from remest import MixturePolicy, policy_evaluate, spi_solve, stationary_metrics
+    from remest import MixturePolicy, policy_evaluate, simulate, spi_solve, stationary_metrics
 
     out = {}
     for label, model in _ladder(config_path):
@@ -81,6 +84,7 @@ def ladder(config_path: str, seconds: float) -> dict:
         mixture = MixturePolicy(p=0.5, policy_minus=other, policy_plus=policy, differing_states=diff)
         layout = model.level_layout
         weights = getattr(layout, "weights", None)
+        sim_s = _median_seconds(lambda: simulate(model, mixture, SIM_SLOTS, 1), seconds)
         out[label] = {
             "states": model.num_mdp_states,
             "resets": int(layout.resets.size),
@@ -91,6 +95,8 @@ def ladder(config_path: str, seconds: float) -> dict:
                 lambda: stationary_metrics(model, mixture), seconds
             ),
             "spi_solve_s": _median_seconds(lambda: spi_solve(model, PRICE), seconds),
+            "simulate_s": sim_s,
+            "simulate_slots_per_s": SIM_SLOTS / sim_s,
         }
     return out
 

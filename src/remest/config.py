@@ -1,7 +1,9 @@
 """Strict config ingestion: JSON-compatible dicts to validated model builds.
 
 Unknown keys anywhere in the document are a hard error; there are no silent
-defaults for experiment-defining fields.  The digest of the canonical JSON
+defaults for experiment-defining fields, except ``timing``, which is
+optional and defaults to "immediate" so documents written before it load
+unchanged (and keep their digest).  The digest of the canonical JSON
 form stamps every emitted result row so outputs are traceable to their
 exact inputs.
 """
@@ -40,6 +42,7 @@ _TOP_KEYS = {
 }
 
 _TOL_KEYS = {"eval", "search", "mixture"}
+_TIMINGS = ("immediate", "delayed")
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,13 @@ class SystemConfig:
     tolerances: Tolerances
     seed: int
     estimator: str
+    timing: str = "immediate"
 
     @staticmethod
     def from_dict(doc: dict) -> "SystemConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config root must be an object")
-        unknown = set(doc) - _TOP_KEYS
+        unknown = set(doc) - _TOP_KEYS - {"timing"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         missing = _TOP_KEYS - set(doc)
@@ -106,6 +110,9 @@ class SystemConfig:
         estimator = doc["estimator"]
         if estimator not in ("map", "zoh"):
             raise ConfigError(f"estimator must be 'map' or 'zoh', got {estimator!r}")
+        timing = doc.get("timing", "immediate")
+        if timing not in _TIMINGS:
+            raise ConfigError(f"timing must be one of {_TIMINGS}, got {timing!r}")
         distortion = doc["distortion"]
         if isinstance(distortion, str):
             if distortion != "hamming":
@@ -141,6 +148,7 @@ class SystemConfig:
             tolerances=tols,
             seed=int(doc["seed"]),
             estimator=estimator,
+            timing=timing,
         )
 
     @staticmethod
@@ -175,14 +183,14 @@ class SystemConfig:
             "tolerances": asdict(self.tolerances),
             "seed": self.seed,
             "estimator": self.estimator,
-        }
+        } | ({} if self.timing == "immediate" else {"timing": self.timing})
 
     def digest(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
     def with_overrides(self, **kwargs) -> "SystemConfig":
-        allowed = {"seed", "f_max", "theta_max", "delta_max", "estimator", "lambda_max"}
+        allowed = {"seed", "f_max", "theta_max", "delta_max", "estimator", "lambda_max", "timing"}
         unknown = set(kwargs) - allowed
         if unknown:
             raise ConfigError(f"cannot override {sorted(unknown)}")
@@ -197,8 +205,9 @@ class SystemConfig:
             return AgeFunction.polynomial(age["coeffs"])
         return AgeFunction.from_table(age["values"], age.get("tail_ratio", 1.0))
 
-    def build_model(self, timing: str = "immediate") -> SystemModel:
-        """Model of this config under the given slot timing (see remest.model)."""
+    def build_model(self, timing: str | None = None) -> SystemModel:
+        """Model of this config under the given slot timing, by default the
+        config's own (see remest.model)."""
         chain = validate_chain(np.array(self.transition))
         return build_model(
             chain=chain,
@@ -210,5 +219,5 @@ class SystemConfig:
             theta_max=self.theta_max,
             delta_max=self.delta_max,
             estimator_mode=self.estimator,
-            timing=timing,
+            timing=self.timing if timing is None else timing,
         )

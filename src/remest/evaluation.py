@@ -2,10 +2,11 @@
 
 Exact route: stationary law of the policy-induced chain restricted to the
 states reachable from the reference state, then frequency and error cost as
-expectations under it.  Empirical route: a seeded slot-by-slot simulator
-that follows the model's slot timing and tracks two consecutive-error-age
-semantics (the truncated rule the decision process uses, and the raw
-pair-reset rule) so their gap is measured instead of guessed.
+expectations under it.  Empirical route: a seeded walk on the model's own
+successor tables, so it follows the model's slot timing without a second
+copy of it, pricing two consecutive-error-age semantics (the truncated rule
+the decision process uses, and the raw pair-reset rule) so their gap is
+measured instead of guessed.
 """
 
 from __future__ import annotations
@@ -232,124 +233,119 @@ class SimReport:
 
 
 def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
-    """Seeded slot-by-slot run of source, channel, policy and receiver.
+    """Seeded run of source, channel, policy and receiver, walked on the
+    decision process's own successor tables.
 
     Three independent named streams (source, channel, mixture coin) are
     spawned from the seed so that changing the policy never perturbs the
-    source path; the coin stream is drawn only for a mixture.  The slot order
-    follows ``model.timing``: under the delayed timing the slot is charged at
-    its own estimate and error age before delivery, and delivered content
-    arrives next slot at age 1.
+    source path; the coin stream is drawn only for a mixture.  From state s
+    the next state is ``succ_targets[s, x']`` when the coin-selected action
+    is 1 and the delivery succeeds, and ``idle_targets[s, x']`` otherwise,
+    so the run follows ``model.timing`` through the targets alone; it starts
+    at ``model.ref_index``.  The step table is indexed by the source draw's
+    class (the breakpoints of the chain's cumulative rows cut [0, 1) into
+    classes that move every row alike), so a slot costs one buffer index.
+    The slots run in blocks of SIM_BLOCK, each block's uniforms drawn at
+    once (the same doubles as one draw of the whole horizon) and its record
+    of states priced with array gathers.
 
-    The slots run in blocks of SIM_BLOCK.  Each block draws its uniforms from
-    the three streams (successive draws give the same doubles as one draw of
-    the whole horizon), precomputes every source row's successor and the
-    channel and coin outcomes as Python lists, steps the slots on plain ints,
-    and then prices the block's (source, estimate, error age) records with
-    array products.  The report is bit-reproducible for a fixed seed, and
-    equal field by field to the reports of earlier versions that stepped one
-    slot at a time on numpy scalars (``tests/test_evaluation.py`` pins them).
+    The report is bit-reproducible for a fixed seed, and equal field by
+    field to a slot-by-slot simulator that re-derives both timings from the
+    chain, the channel and the estimate table (``tests/test_evaluation.py``,
+    DECISIONS.md section 7).
     """
     if horizon < 10**4:
         raise DomainError("horizon must be at least 10^4")
     p, act_minus, act_plus = _mixture_parts(policy)
     mixed = act_plus is not act_minus
 
-    src_ss, ch_ss, coin_ss = np.random.SeedSequence(seed).spawn(3)
-    rng_src = np.random.default_rng(src_ss)
-    rng_ch = np.random.default_rng(ch_ss)
-    rng_coin = np.random.default_rng(coin_ss)
+    streams = np.random.SeedSequence(seed).spawn(3)
+    rng_src, rng_ch, rng_coin = (np.random.default_rng(ss) for ss in streams)
 
-    n, tm, dm = model.n_states, model.theta_max, model.delta_max
+    n, S = model.n_states, model.num_mdp_states
     cum_rows = np.cumsum(model.chain.rows, axis=1)
-    table = model.estimates.table.tolist()
-    dist = model.distortion
-    rho_strict = model.rho_values
-    p_s = model.p_s
-    minus, plus = act_minus.tolist(), act_plus.tolist()
-
-    xstar = int(model.x_of[model.ref_index])
-    x = xstar
-    z, theta = xstar, tm
-    delta_model = 0
-    x_prev, xhat_prev = xstar, xstar
-    delta_strict = 0
+    breaks = np.unique(cum_rows)
+    m = breaks.size + 1
+    # moves[r, j]: the source's next state from row r for a draw in class j;
+    # class 0 lies below every breakpoint.
+    reps = np.concatenate(([-1.0], breaks))
+    moves = np.minimum([np.searchsorted(row, reps, side="right") for row in cum_rows], n - 1)
+    # acts[coin]: a mixture's coin picks act_minus at 1; a deterministic
+    # policy has one row and coin 0.  Layer 0 of the step table (layer, s,
+    # class) holds the idle successors, layer 1 + coin a delivered slot's.
+    acts = np.stack([act_plus, act_minus] if mixed else [act_minus]).astype(bool)
+    step = np.empty((1 + acts.shape[0], S, m), np.int32)
+    for r in range(n):
+        rows = slice(r * S // n, (r + 1) * S // n)  # the states with source r
+        idle = model.idle_targets[rows][:, moves[r]]
+        succ = model.succ_targets[rows][:, moves[r]]
+        step[0, rows] = idle
+        step[1:, rows] = np.where(acts[:, rows, None], succ, idle)
+    step *= m  # an entry is a row offset: the next slot reads step[code + entry]
+    step = memoryview(step.ravel())
+    layer = S * m
 
     n_batches = 50
     batch_len = horizon // n_batches
     used = batch_len * n_batches
-    cost_m = np.empty(used)
-    cost_s = np.empty(used)
-    tx_flag = np.empty(used)
+    cost_m, cost_s = np.empty((2, used))
+    tx_flag = np.empty(used, bool)  # sums of flags are exact: same means as float64
     ch_success = 0
 
     delayed = model.timing == "delayed"
-    fresh_age = 1 if delayed else 0
-    pick_minus = [True] * min(SIM_BLOCK, used)  # a deterministic policy's "coin"
+    rho_strict = model.rho_values
+    rec = np.empty(min(SIM_BLOCK, used) + 1, np.int32)  # the block's states, times m
+    out = memoryview(rec)
+    rec[0] = model.ref_index * m
+    # The run of (source, estimate) pairs in progress before the first slot:
+    # none under the immediate timing; under the delayed timing the first
+    # slot's own pair, begun so that the slot reads the start state's error
+    # age 0.
+    xstar = int(model.x_of[model.ref_index])
+    run_pair = xstar * n + (int(model.est_prev[model.ref_index]) if delayed else xstar)
+    run_from = 1 if delayed else 0
+    coin = 0
 
     for start in range(0, used, SIM_BLOCK):
         k = min(SIM_BLOCK, used - start)
-        u_src = rng_src.random(k)
-        succ = [
-            np.minimum(np.searchsorted(row, u_src, side="right"), n - 1).tolist()
-            for row in cum_rows
-        ]
-        delivered = (rng_ch.random(k) < p_s).tolist()
-        coin = (rng_coin.random(k) < p).tolist() if mixed else pick_minus
-        xs, xhats, ages_m, ages_s, us = [], [], [], [], []
+        code = np.searchsorted(breaks, rng_src.random(k), side="right").astype(np.int32)
+        delivered = rng_ch.random(k) < model.p_s
+        if mixed:
+            coin = (rng_coin.random(k) < p).astype(np.int32)
+        code += delivered * (1 + coin) * layer
 
-        for i in range(k):
-            acts = minus if coin[i] else plus
-            u = acts[((x * n + z) * (tm + 1) + theta) * (dm + 1) + delta_model]
-            if delayed:
-                xhat = table[z][theta]
-            if u and delivered[i]:
-                ch_success += 1
-                z, theta = x, fresh_age
-            elif theta < tm:
-                theta += 1
-            if not delayed:
-                # Immediate timing: the estimate-reset rule on the post-action
-                # estimate, compared with the previous slot's pair.
-                xhat = table[z][theta]
-                if xhat == x:
-                    delta_model = delta_strict = 0
-                else:
-                    same_pair = x == x_prev and xhat == xhat_prev
-                    delta_model = (
-                        (delta_model + 1 if delta_model < dm else dm)
-                        if xhat == xhat_prev else 1
-                    )
-                    delta_strict = delta_strict + 1 if same_pair else 1
-            xs.append(x)
-            xhats.append(xhat)
-            ages_m.append(delta_model)
-            ages_s.append(delta_strict)
-            us.append(u)
+        s = out[0]
+        i = 1
+        for c in memoryview(code):
+            s = step[c + s]
+            out[i] = s
+            i += 1
+        own = rec[:k] // m
+        # The immediate timing charges the slot after the action: next state.
+        priced = own if delayed else rec[1 : k + 1] // m
+        rec[0] = s
 
-            x_prev, xhat_prev = x, xhat
-            x = succ[x][i]
-            if delayed:
-                # Delayed timing: the pair-reset rule on the next slot's
-                # (source, estimate) pair, compared with this slot's.
-                xhat = table[z][theta]
-                if xhat == x:
-                    delta_model = delta_strict = 0
-                elif x == x_prev and xhat == xhat_prev:
-                    delta_model = delta_model + 1 if delta_model < dm else dm
-                    delta_strict += 1
-                else:
-                    delta_model = delta_strict = 1
-
+        u = acts[coin, own]
+        ch_success += int(np.count_nonzero(u & delivered))
+        x = model.x_of[own]
+        xhat = model.est_prev[priced]
+        d_pair = model.distortion[x, xhat]
         block = slice(start, start + k)
-        d_pair = dist[xs, xhats]
-        strict = np.array(ages_s)
+        cost_m[block] = d_pair * model.rho_values[model.delta_of[priced]]
+        tx_flag[block] = u
+
+        # Strict error age: 0 on a right estimate, else the length of the run
+        # of equal (source, estimate) pairs ending at the slot.
+        pair = x * n + xhat
+        slots = np.arange(start, start + k)
+        changed = pair != np.concatenate(([run_pair], pair[:-1]))
+        run_start = np.maximum.accumulate(np.where(changed, slots, run_from))
+        strict = np.where(x != xhat, slots - run_start + 1, 0)
+        run_pair, run_from = int(pair[-1]), int(run_start[-1])
         top = int(strict.max())
         if top >= rho_strict.size:
             rho_strict = model.rho.values(top)
-        cost_m[block] = d_pair * model.rho_values[ages_m]
         cost_s[block] = d_pair * rho_strict[strict]
-        tx_flag[block] = us
     tx_total = int(np.count_nonzero(tx_flag))
 
     def batch_stats(series):
@@ -360,15 +356,9 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
     jm_mean, jm_se = batch_stats(cost_m)
     js_mean, js_se = batch_stats(cost_s)
     return SimReport(
-        horizon=used,
-        seed=seed,
-        empirical_F=f_mean,
-        empirical_J_model=jm_mean,
-        empirical_J_strict=js_mean,
-        se_F=f_se,
-        se_J_model=jm_se,
-        se_J_strict=js_se,
+        horizon=used, seed=seed,
+        empirical_F=f_mean, empirical_J_model=jm_mean, empirical_J_strict=js_mean,
+        se_F=f_se, se_J_model=jm_se, se_J_strict=js_se,
         channel_success_rate=ch_success / tx_total if tx_total else float("nan"),
-        transmissions=tx_total,
-        n_batches=n_batches,
+        transmissions=tx_total, n_batches=n_batches,
     )

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from remest import BadBracketError, SystemConfig, ConfigError, solve_cmdp
+from remest import BadBracketError, SystemConfig, ConfigError, simulate, solve_cmdp
 from remest.cli import emit_results, main
 
 BASE_DOC = {
@@ -64,6 +64,20 @@ class TestConfigParsing:
         cfg = SystemConfig.from_file(config_path)
         assert cfg.digest() == cfg.digest()
         assert cfg.digest() != cfg.with_overrides(f_max=0.2).digest()
+
+    def test_timing_is_optional_and_keeps_the_digest(self, config_path, tmp_path):
+        cfg = SystemConfig.from_file(config_path)
+        assert cfg.timing == "immediate"
+        explicit = SystemConfig.from_dict({**BASE_DOC, "timing": "immediate"})
+        assert explicit == cfg and explicit.digest() == cfg.digest()
+        delayed = SystemConfig.from_dict({**BASE_DOC, "timing": "delayed"})
+        assert delayed == cfg.with_overrides(timing="delayed")
+        assert SystemConfig.from_dict(delayed.to_dict()) == delayed
+        assert delayed.digest() != cfg.digest()
+        assert delayed.build_model().timing == "delayed"
+        assert delayed.build_model(timing="immediate").timing == "immediate"
+        with pytest.raises(ConfigError, match="timing"):
+            SystemConfig.from_file(write_doc(tmp_path, {**BASE_DOC, "timing": "late"}))
 
 
 class TestExitCodes:
@@ -174,6 +188,20 @@ class TestCommands:
         sol = solve_cmdp(cfg.build_model(), cfg.f_max, cfg.lambda_max, cfg.tolerances.mixture)
         assert rec["stationary_F"] == sol.F
         assert rec["stationary_J"] == sol.J
+
+    def test_simulate_follows_config_timing(self, tmp_path):
+        out = tmp_path / "sim.json"
+        path = write_doc(tmp_path, {**BASE_DOC, "timing": "delayed"}, "delayed.json")
+        code = main(["simulate", "--config", path, "--horizon", "20000",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        rec = json.loads(out.read_text())["records"][0]
+        cfg = SystemConfig.from_dict(BASE_DOC)
+        model = cfg.build_model(timing="delayed")
+        sol = solve_cmdp(model, cfg.f_max, cfg.lambda_max, cfg.tolerances.mixture)
+        report = simulate(model, sol.policy, 20000, cfg.seed)
+        assert rec["stationary_F"] == sol.F and rec["stationary_J"] == sol.J
+        assert {k: rec[k] for k in report.as_dict()} == report.as_dict()
 
     def test_truncation_command(self, config_path, tmp_path):
         out = tmp_path / "kl.csv"

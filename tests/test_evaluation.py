@@ -3,15 +3,20 @@ import pytest
 
 import remest.evaluation
 from remest import (
+    AgeFunction,
     ConvergenceFailure,
     DeterministicPolicy,
     DomainError,
+    MixturePolicy,
+    SimReport,
     SupportMismatchError,
     build_model,
     kl_truncation,
+    never_transmit_policy,
     policy_evaluate,
     reactive_policy,
     simulate,
+    solve_cmdp,
     stationary_metrics,
     sweep_lambda,
     symmetric_chain,
@@ -72,6 +77,158 @@ PINNED_SIM = [
 @pytest.fixture(scope="module")
 def short_delta_model(main_config):
     return main_config.with_overrides(delta_max=2).build_model(timing="delayed")
+
+
+def reference_simulate(model, policy, horizon, seed):
+    """Slot-by-slot simulator that re-derives both slot timings from the
+    chain, the channel and the estimate table, never reading the model's
+    successor tables: the independent check that those tables encode the
+    timing.  It draws the three streams and prices the slots as ``simulate``
+    does, one slot at a time and so far slower."""
+    p, act_minus, act_plus = remest.evaluation._mixture_parts(policy)
+    mixed = act_plus is not act_minus
+    n_batches = 50
+    batch_len = horizon // n_batches
+    used = batch_len * n_batches
+    src_ss, ch_ss, coin_ss = np.random.SeedSequence(seed).spawn(3)
+    u_src = np.random.default_rng(src_ss).random(used)
+    delivered = (np.random.default_rng(ch_ss).random(used) < model.p_s).tolist()
+    coin = (np.random.default_rng(coin_ss).random(used) < p).tolist() if mixed else [True] * used
+
+    n, tm, dm = model.n_states, model.theta_max, model.delta_max
+    succ = [
+        np.minimum(np.searchsorted(row, u_src, side="right"), n - 1).tolist()
+        for row in np.cumsum(model.chain.rows, axis=1)
+    ]
+    table = model.estimates.table.tolist()
+    minus, plus = act_minus.tolist(), act_plus.tolist()
+    delayed = model.timing == "delayed"
+    fresh_age = 1 if delayed else 0
+
+    xstar = int(model.x_of[model.ref_index])
+    x = z = xstar
+    theta = tm
+    delta_model = delta_strict = 0
+    x_prev, xhat_prev = xstar, xstar
+    xs, xhats, ages_m, ages_s, us = [], [], [], [], []
+    ch_success = 0
+    for i in range(used):
+        acts = minus if coin[i] else plus
+        u = acts[((x * n + z) * (tm + 1) + theta) * (dm + 1) + delta_model]
+        if delayed:
+            xhat = table[z][theta]
+        if u and delivered[i]:
+            ch_success += 1
+            z, theta = x, fresh_age
+        elif theta < tm:
+            theta += 1
+        if not delayed:
+            # Immediate timing: the estimate-reset rule on the post-action
+            # estimate, compared with the previous slot's pair.
+            xhat = table[z][theta]
+            if xhat == x:
+                delta_model = delta_strict = 0
+            else:
+                same_pair = x == x_prev and xhat == xhat_prev
+                delta_model = min(delta_model + 1, dm) if xhat == xhat_prev else 1
+                delta_strict = delta_strict + 1 if same_pair else 1
+        xs.append(x)
+        xhats.append(xhat)
+        ages_m.append(delta_model)
+        ages_s.append(delta_strict)
+        us.append(u)
+        x_prev, xhat_prev = x, xhat
+        x = succ[x][i]
+        if delayed:
+            # Delayed timing: the pair-reset rule on the next slot's
+            # (source, estimate) pair, compared with this slot's.
+            xhat = table[z][theta]
+            if xhat == x:
+                delta_model = delta_strict = 0
+            elif x == x_prev and xhat == xhat_prev:
+                delta_model = min(delta_model + 1, dm)
+                delta_strict += 1
+            else:
+                delta_model = delta_strict = 1
+
+    d_pair = model.distortion[xs, xhats]
+    strict = np.array(ages_s)
+    rho_strict = model.rho.values(max(int(strict.max()), dm))
+    tx_flag = np.array(us, dtype=float)
+    tx_total = int(np.count_nonzero(tx_flag))
+
+    def batch_stats(series):
+        means = series.reshape(n_batches, batch_len).mean(axis=1)
+        return float(series.mean()), float(means.std(ddof=1) / np.sqrt(n_batches))
+
+    f_mean, f_se = batch_stats(tx_flag)
+    jm_mean, jm_se = batch_stats(d_pair * model.rho_values[ages_m])
+    js_mean, js_se = batch_stats(d_pair * rho_strict[strict])
+    return SimReport(
+        horizon=used, seed=seed, empirical_F=f_mean, empirical_J_model=jm_mean,
+        empirical_J_strict=js_mean, se_F=f_se, se_J_model=jm_se, se_J_strict=js_se,
+        channel_success_rate=ch_success / tx_total if tx_total else float("nan"),
+        transmissions=tx_total, n_batches=n_batches,
+    )
+
+
+CYCLE3 = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+
+
+def oracle_case_model(chain, estimator, timing, p_s, delta_max):
+    """A small model for the oracle comparison: a seeded random n-state
+    chain (chain = n) or the 3-cycle (chain = "cycle3")."""
+    if chain == "cycle3":
+        rows = CYCLE3
+    else:
+        rng = np.random.default_rng(chain)
+        rows = rng.dirichlet(np.full(chain, 0.8), size=chain) + 1.5 * np.eye(chain)
+        rows = rows / rows.sum(axis=1, keepdims=True)
+    n = len(rows)
+    d = np.random.default_rng(7).uniform(0.5, 2.0, size=(n, n))
+    np.fill_diagonal(d, 0.0)
+    rho = AgeFunction.exponential_affine(1.0, 0.3, 0.2)
+    return build_model(validate_chain(rows), p_s, d, rho, 5, delta_max, estimator, timing=timing)
+
+
+def oracle_case_policy(model, kind):
+    if kind == "reactive":
+        return reactive_policy(model)
+    if kind == "never":
+        return never_transmit_policy(model)
+    policy = solve_cmdp(model, 0.15, 1000.0, 1e-6).policy
+    assert isinstance(policy, MixturePolicy)
+    return policy
+
+
+def same_report(a, b):
+    """Field-by-field equality of two reports, NaN equal to NaN."""
+    return all(
+        x == y or (x != x and y != y) for x, y in zip(a.as_dict().values(), b.as_dict().values())
+    )
+
+
+# (chain, estimator, timing, p_s, delta_max, policy).  A horizon of 40 017
+# keeps 40 000 slots: two full blocks and a partial one.
+ORACLE_CASES = [
+    (2, "map", "immediate", 0.6, 5, "reactive"),
+    (2, "zoh", "delayed", 1.0, 5, "mixture"),
+    (2, "map", "delayed", 0.8, 2, "never"),
+    (3, "map", "delayed", 0.8, 5, "mixture"),
+    (3, "zoh", "immediate", 1.0, 5, "reactive"),
+    (3, "map", "immediate", 0.7, 2, "mixture"),
+    (4, "map", "immediate", 0.9, 5, "never"),
+    (4, "map", "delayed", 1.0, 2, "reactive"),
+    (4, "zoh", "delayed", 0.5, 5, "mixture"),
+    (4, "zoh", "immediate", 0.7, 5, "mixture"),
+    ("cycle3", "map", "immediate", 0.7, 5, "reactive"),
+    # The start state's estimate is wrong here: the first slot's pair opens
+    # an error run at age 0.
+    ("cycle3", "map", "delayed", 0.7, 5, "mixture"),
+    ("cycle3", "zoh", "immediate", 1.0, 5, "mixture"),
+    ("cycle3", "zoh", "delayed", 0.7, 5, "never"),
+    ("cycle3", "zoh", "delayed", 1.0, 2, "reactive"),
+]
 
 
 class TestStationaryMetrics:
@@ -254,6 +411,38 @@ class TestSimulate:
         assert rep.as_dict() == expected
         if model_name == "short_delta_model":
             assert rep.empirical_J_strict != rep.empirical_J_model
+
+    @pytest.mark.parametrize("chain, estimator, timing, p_s, delta_max, kind", ORACLE_CASES)
+    def test_matches_slot_by_slot_reference(self, chain, estimator, timing, p_s, delta_max, kind):
+        model = oracle_case_model(chain, estimator, timing, p_s, delta_max)
+        policy = oracle_case_policy(model, kind)
+        got = simulate(model, policy, 40_017, 11)
+        assert same_report(got, reference_simulate(model, policy, 40_017, 11)), got
+
+    @pytest.mark.parametrize("timing", ["immediate", "delayed"])
+    @pytest.mark.parametrize("source", ["cycle3", "perfect_channel"])
+    @pytest.mark.parametrize("kind", ["reactive", "f=0.1"])
+    def test_edge_cases_match_stationary_rates(self, source, timing, kind):
+        # A periodic source (hold-last-value receiver, whose estimate the
+        # cycle leaves wrong) and a channel that never fails.
+        if source == "cycle3":
+            model = build_model(
+                validate_chain(CYCLE3), 0.7, "hamming", main_age_function(), 1, 20, "zoh",
+                timing=timing,
+            )
+        else:
+            model = build_model(
+                validate_chain(MAIN_ROWS), 1.0, "hamming", main_age_function(), 20, 20, "map",
+                timing=timing,
+            )
+        if kind == "reactive":
+            policy = reactive_policy(model)
+        else:
+            policy = solve_cmdp(model, 0.1, 1000.0, 1e-6).policy
+        met = stationary_metrics(model, policy)
+        rep = simulate(model, policy, 2 * 10**5, 3)
+        assert abs(rep.empirical_F - met.F) <= 6 * rep.se_F
+        assert abs(rep.empirical_J_model - met.J) <= 6 * rep.se_J_model
 
     def test_mixture_uses_fresh_coin(self, main_model, solved_main):
         sol = solved_main(main_model, 0.1)
