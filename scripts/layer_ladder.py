@@ -6,9 +6,12 @@ states and the number G of success rows (the level solve's Woodbury update
 has G + 1 columns; G is null on a checkout whose layout has no success
 groups, where the update has |T| + 1), and the median seconds per call of
 ``policy_evaluate``, of ``stationary_metrics`` for a deterministic policy
-and for a mixture, of a cold ``spi_solve``, and of ``simulate`` for
-SIM_SLOTS slots of the mixture, with the slots per second that gives.  The
-rungs are
+and for a mixture, of a cold ``spi_solve``, of ``build_mixture`` and of
+``simulate`` for SIM_SLOTS slots of the mixture, with the slots per second
+that gives.  ``mixture_evaluations`` counts the evaluations of the
+randomized policy one ``build_mixture`` makes (calls of the evaluator it
+uses: ``_evaluate``, or ``stationary_metrics`` on a checkout without it).
+The rungs are
 
 * S = 378: the ZOH model of ``configs/three_state.json``, delayed timing;
 * S = 3 969: the MAP model of that config, delayed timing;
@@ -16,8 +19,10 @@ rungs are
   workload, truncation 30, immediate timing.
 
 The policy is ``spi_solve``'s at price 5, the mixture weighs it against
-``spi_solve``'s policy at price 2 with p = 1/2.  Each layer is called until
-``--seconds`` have passed (at least three calls), one warm-up call first.
+``spi_solve``'s policy at price 2 with p = 1/2, and ``build_mixture``
+calibrates that pair to the budget midway between their frequencies.  Each
+layer is called until ``--seconds`` have passed (at least three calls), one
+warm-up call first.
 
     python scripts/layer_ladder.py
     PYTHONPATH=/path/to/other/checkout/src python scripts/layer_ladder.py
@@ -73,13 +78,45 @@ def _median_seconds(call, seconds: float) -> float:
     return statistics.median(times)
 
 
+def _evaluations(calibrate) -> int:
+    """Evaluations of the randomized policy made by one ``calibrate()``."""
+    import remest.constrained as constrained
+
+    name = "_evaluate" if hasattr(constrained, "_evaluate") else "stationary_metrics"
+    evaluator, calls = getattr(constrained, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return evaluator(*args, **kwargs)
+
+    setattr(constrained, name, counted)
+    try:
+        calibrate()
+    finally:
+        setattr(constrained, name, evaluator)
+    return len(calls)
+
+
 def ladder(config_path: str, seconds: float) -> dict:
-    from remest import MixturePolicy, policy_evaluate, simulate, spi_solve, stationary_metrics
+    from remest import (
+        MixturePolicy,
+        build_mixture,
+        policy_evaluate,
+        simulate,
+        spi_solve,
+        stationary_metrics,
+    )
 
     out = {}
     for label, model in _ladder(config_path):
-        policy = spi_solve(model, PRICE)[0]
-        other = spi_solve(model, MIX_PRICE)[0]
+        policy, gb = spi_solve(model, PRICE)[:2]
+        other, gb_other = spi_solve(model, MIX_PRICE)[:2]
+        f_plus, f_minus = gb.f_component, gb_other.f_component
+        f_mid = 0.5 * (f_minus + f_plus)
+
+        def calibrate():
+            return build_mixture(model, other, policy, f_mid, f_minus=f_minus, f_plus=f_plus)
+
         diff = np.flatnonzero(policy.actions != other.actions).tolist()
         mixture = MixturePolicy(p=0.5, policy_minus=other, policy_plus=policy, differing_states=diff)
         layout = model.level_layout
@@ -95,6 +132,8 @@ def ladder(config_path: str, seconds: float) -> dict:
                 lambda: stationary_metrics(model, mixture), seconds
             ),
             "spi_solve_s": _median_seconds(lambda: spi_solve(model, PRICE), seconds),
+            "build_mixture_s": _median_seconds(calibrate, seconds),
+            "mixture_evaluations": _evaluations(calibrate),
             "simulate_s": sim_s,
             "simulate_slots_per_s": SIM_SLOTS / sim_s,
         }

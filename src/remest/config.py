@@ -70,6 +70,25 @@ class SystemConfig:
     estimator: str
     timing: str = "immediate"
 
+    def __post_init__(self):
+        """Value checks, run by ``from_dict`` and by ``with_overrides``."""
+        for name in _TOL_KEYS:
+            if getattr(self.tolerances, name) <= 0:
+                raise ConfigError(f"tolerance {name!r} must be positive")
+        if self.estimator not in ("map", "zoh"):
+            raise ConfigError(f"estimator must be 'map' or 'zoh', got {self.estimator!r}")
+        if self.timing not in _TIMINGS:
+            raise ConfigError(f"timing must be one of {_TIMINGS}, got {self.timing!r}")
+        if isinstance(self.distortion, str) and self.distortion != "hamming":
+            raise ConfigError(f"distortion must be 'hamming' or a matrix")
+        if len(self.transition) != self.alphabet_size:
+            raise ConfigError(
+                f"alphabet_size {self.alphabet_size} does not match transition matrix"
+                f" side {len(self.transition)}"
+            )
+        if not (0.0 < self.f_max <= 1.0):
+            raise ConfigError(f"f_max {self.f_max} outside (0, 1]")
+
     @staticmethod
     def from_dict(doc: dict) -> "SystemConfig":
         if not isinstance(doc, dict):
@@ -103,31 +122,9 @@ class SystemConfig:
         if unknown_tol:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown_tol)}")
         tols = Tolerances(**{k: float(v) for k, v in tol_doc.items()})
-        for name in _TOL_KEYS:
-            if getattr(tols, name) <= 0:
-                raise ConfigError(f"tolerance {name!r} must be positive")
-
-        estimator = doc["estimator"]
-        if estimator not in ("map", "zoh"):
-            raise ConfigError(f"estimator must be 'map' or 'zoh', got {estimator!r}")
-        timing = doc.get("timing", "immediate")
-        if timing not in _TIMINGS:
-            raise ConfigError(f"timing must be one of {_TIMINGS}, got {timing!r}")
         distortion = doc["distortion"]
-        if isinstance(distortion, str):
-            if distortion != "hamming":
-                raise ConfigError(f"distortion must be 'hamming' or a matrix")
-        else:
+        if not isinstance(distortion, str):
             distortion = tuple(tuple(float(v) for v in row) for row in distortion)
-        transition = tuple(tuple(float(v) for v in row) for row in doc["transition"])
-        n = int(doc["alphabet_size"])
-        if len(transition) != n:
-            raise ConfigError(
-                f"alphabet_size {n} does not match transition matrix side {len(transition)}"
-            )
-        f_max = float(doc["f_max"])
-        if not (0.0 < f_max <= 1.0):
-            raise ConfigError(f"f_max {f_max} outside (0, 1]")
         age_clean = {"kind": kind}
         for key in sorted(_AGE_KEYS[kind]):
             if key in age:
@@ -136,19 +133,19 @@ class SystemConfig:
                 else:
                     age_clean[key] = float(age[key])
         return SystemConfig(
-            alphabet_size=n,
-            transition=transition,
+            alphabet_size=int(doc["alphabet_size"]),
+            transition=tuple(tuple(float(v) for v in row) for row in doc["transition"]),
             p_s=float(doc["p_s"]),
             distortion=distortion,
             age_function=age_clean,
             theta_max=int(doc["theta_max"]),
             delta_max=int(doc["delta_max"]),
-            f_max=f_max,
+            f_max=float(doc["f_max"]),
             lambda_max=float(doc["lambda_max"]),
             tolerances=tols,
             seed=int(doc["seed"]),
-            estimator=estimator,
-            timing=timing,
+            estimator=doc["estimator"],
+            timing=doc.get("timing", "immediate"),
         )
 
     @staticmethod

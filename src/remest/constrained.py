@@ -6,8 +6,8 @@ The price search intersects tangents of the piecewise-linear concave
 relaxed-cost curve (slope = transmission frequency), which converges in at
 most one step per linear segment and independently of any tolerance.  A
 plain bisection on the frequency is kept as the baseline.  All frequency
-and cost numbers inside the search come from the exact evaluation of the
-solved policies, never from simulation.
+and cost numbers come from the exact evaluation of the solved policies, and
+of their mixture by the same solve, never from simulation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,14 @@ from .errors import (
 )
 from .evaluation import stationary_metrics
 from .model import SystemModel
-from .solver import DeterministicPolicy, ThresholdView, spi_solve
+from .solver import (
+    RESIDUAL_TOL,
+    DeterministicPolicy,
+    ThresholdView,
+    _evaluate,
+    _stage_costs,
+    spi_solve,
+)
 
 F_MATCH_TOL = 1e-6
 L_MATCH_RTOL = 1e-8
@@ -76,10 +83,10 @@ class MixturePolicy:
     With probability p the infeasible policy (solved just below the critical
     price, transmits more) acts; otherwise the feasible one.  p is first set
     by the linear interpolation of the two frequencies and then recalibrated
-    so the stationary frequency of the randomized kernel meets the budget
-    exactly; both values are kept.  ``_rates`` is (F, J) of the stationary
-    law at p when ``build_mixture`` has already solved it, so that
-    ``solve_cmdp`` does not solve the same law again.
+    so the long-run frequency of the randomized policy (its evaluation's
+    gain for the coin-weighted transmit probability) meets the budget
+    exactly; both values are kept.  ``_rates`` is (F, J) at p when
+    ``build_mixture`` has evaluated it, so that ``solve_cmdp`` does not.
     """
 
     p: float
@@ -226,9 +233,12 @@ def build_mixture(
     """Mix two policies so the stationary transmission frequency hits f_max.
 
     policy_minus must over-transmit and policy_plus stay within budget.  The
-    linear interpolation seeds p; a root-find on the stationary frequency of
-    the randomized kernel then pins it to the budget.  f_minus and f_plus are
-    the two policies' stationary frequencies, computed here when not given.
+    linear interpolation seeds p; a root-find (``_mobius_root``) on F(p)
+    then pins it to the budget.  F(p) and J(p) are the gains of the policy
+    evaluator's solve (``solver._evaluate``) for the coin-weighted transmit
+    probability and cost rows, both columns' residuals checked (DECISIONS.md
+    section 8).  f_minus and f_plus are the two policies' stationary
+    frequencies, computed here when not given.
     """
     if f_minus is None:
         f_minus = stationary_metrics(model, policy_minus).F
@@ -238,23 +248,21 @@ def build_mixture(
         raise InfeasiblePairError(
             f"budget {f_max} outside the pair's frequencies [{f_plus:.6f}, {f_minus:.6f}]"
         )
-    diff = [int(i) for i in np.flatnonzero(policy_minus.actions != policy_plus.actions)]
-    if f_minus - f_plus <= F_MATCH_TOL:
-        p_lin = 0.0
-    else:
-        p_lin = (f_max - f_plus) / (f_minus - f_plus)
+    a_minus, a_plus = policy_minus.actions, policy_plus.actions
+    diff = [int(i) for i in np.flatnonzero(a_minus != a_plus)]
+    p_lin = (f_max - f_plus) / (f_minus - f_plus) if f_minus - f_plus > F_MATCH_TOL else 0.0
     p_lin = min(max(p_lin, 0.0), 1.0)
 
-    rates = {}  # p -> stationary (F, J); the root-find ends on a p it evaluated
+    rates = {}  # p -> (F, J); the root-find ends on a p it evaluated
 
     def freq_gap(p):
-        mix = MixturePolicy(
-            p=p, policy_minus=policy_minus, policy_plus=policy_plus,
-            differing_states=diff, p_linear=p_lin,
-        )
-        met = stationary_metrics(model, mix)
-        rates[p] = (met.F, met.J)
-        return met.F - f_max
+        # Rows (error, tx) as stationary_metrics mixes them; tx is the coin's q.
+        costs = p * _stage_costs(model, a_minus) + (1.0 - p) * _stage_costs(model, a_plus)
+        gb = _evaluate(model, costs[1], costs, 0.0, split=True)
+        if not gb.residual <= RESIDUAL_TOL:
+            raise ConvergenceFailure(f"mixture at p = {p!r} has residual {gb.residual:.2e}")
+        rates[p] = (gb.f_component, gb.j_component)
+        return gb.f_component - f_max
 
     gap_lin = freq_gap(p_lin)
     if abs(gap_lin) <= F_MATCH_TOL * 1e-2:
@@ -266,45 +274,46 @@ def build_mixture(
             raise InfeasiblePairError(
                 f"stationary frequency range [{f_plus:.6f}, {f_minus:.6f}] misses {f_max}"
             )
-        if gap_lin > 0:
-            p_star = _illinois(freq_gap, 0.0, g0, p_lin, gap_lin)
-        else:
-            p_star = _illinois(freq_gap, p_lin, gap_lin, 1.0, g1)
+        points = [(0.0, g0), (1.0, g1), (p_lin, gap_lin)]
+        bracket = (points[0], points[2]) if gap_lin > 0 else (points[2], points[1])
+        p_star = _mobius_root(freq_gap, points, *bracket)
     return MixturePolicy(
-        p=float(p_star),
-        policy_minus=policy_minus,
-        policy_plus=policy_plus,
-        differing_states=diff,
-        p_linear=float(p_lin),
-        _rates=rates[p_star],
+        p=float(p_star), policy_minus=policy_minus, policy_plus=policy_plus,
+        differing_states=diff, p_linear=float(p_lin), _rates=rates[p_star],
     )
 
 
-def _illinois(fn, a, fa, b, fb, xtol=1e-12, max_iters=100):
-    """Root of fn in [a, b], where fa = fn(a) <= 0 <= fb = fn(b).
-
-    Regula falsi with the Illinois rule: when the same end is kept twice in
-    a row, the other end's value is halved so that both ends close in.
-    Stops once the bracket is narrower than xtol.
+def _mobius_root(fn, points, lo, hi, xtol=1e-12, max_iters=100):
+    """Root of fn in the bracket [a, b] of lo = (a, fn(a)) and hi = (b,
+    fn(b)), fn(a) <= 0 <= fn(b), from three (p, fn(p)) ``points``, the last
+    an end of the bracket.  Each step evaluates fn at the root of the
+    g(p) = (u + v p) / (1 + w p) through the last three points, or at the
+    bracket's regula-falsi point when that root is not inside it.  Stops on
+    an exact zero, a bracket narrower than xtol, or a next step shorter than
+    xtol, and returns the point evaluated last.
     """
-    kept = 0  # -1: a was kept last step, +1: b was kept
+    (a, fa), (b, fb) = lo, hi
+    points = list(points)
+    c = points[-1][0]
     for _ in range(max_iters):
-        c = (a * fb - b * fa) / (fb - fa)
-        fc = fn(c)
-        if fc == 0.0:
+        p, g = np.array(points[-3:]).T
+        try:  # u + v p - w p g = g at each point
+            u, v, _ = np.linalg.solve(np.column_stack([np.ones(3), p, -p * g]), g)
+            nxt = -float(u) / float(v)
+        except (np.linalg.LinAlgError, ZeroDivisionError):  # two points share a p
+            nxt = float("nan")
+        if not a < nxt < b:
+            nxt = (a * fb - b * fa) / (fb - fa)
+        if abs(nxt - c) <= xtol:
             return c
+        c, fc = nxt, fn(nxt)
         if fc < 0.0:
             a, fa = c, fc
-            if kept == 1:
-                fb *= 0.5
-            kept = 1
         else:
             b, fb = c, fc
-            if kept == -1:
-                fa *= 0.5
-            kept = -1
-        if b - a <= xtol:
+        if fc == 0.0 or b - a <= xtol:
             return c
+        points.append((c, fc))
     raise ConvergenceFailure(f"mixture root-find bracket still {b - a:.2e} wide")
 
 

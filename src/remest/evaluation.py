@@ -22,6 +22,7 @@ from .solver import (
     GainBias,
     ThresholdView,
     _class_lu,
+    _stage_costs,
     reachable_set,
     spi_solve,
 )
@@ -65,8 +66,8 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     heaviest state; every other state carries exactly zero mass.
     """
     p, act_minus, act_plus = _mixture_parts(policy)
-    tx_rate = p * act_minus + (1.0 - p) * act_plus
-    kernel, reach, factor = _class_lu(model, tx_rate)
+    costs = p * _stage_costs(model, act_minus) + (1.0 - p) * _stage_costs(model, act_plus)
+    kernel, reach, factor = _class_lu(model, costs[1])
     rhs = np.zeros(model.num_mdp_states + 1)
     rhs[-1] = 1.0
     sol = factor.solve(rhs, trans="T")
@@ -80,12 +81,8 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     mu = np.zeros(model.num_mdp_states)
     mu[closed] = np.clip(sol[closed], 0.0, None)
     mu /= mu.sum()
-
-    cost_minus = np.where(act_minus.astype(bool), model.tx_cost, model.idle_cost)
-    cost_plus = np.where(act_plus.astype(bool), model.tx_cost, model.idle_cost)
-    err_cost = p * cost_minus + (1.0 - p) * cost_plus
-    f = float(mu @ tx_rate)
-    j = float(mu @ err_cost)
+    f = float(mu @ costs[1])
+    j = float(mu @ costs[0])
     return StationaryMetrics(mu=mu, F=f, J=j, reachable=reach)
 
 

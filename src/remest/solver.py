@@ -26,11 +26,11 @@ off it zeroed), not a second one.  The same pinned solve yields J and F of
 the policy, and its bias at any price, since the relaxed cost at price lam
 is the error cost plus lam times the transmit indicator.  So SPI's callers
 read J and F from its ``GainBias``, and a warm start re-prices its start
-policy's evaluation instead of solving again.
-The improvement pass, the threshold view and the structural checks work on
-the (triples, delta_max + 1) reshape of the state space, one row per
-(x, z, theta) triple, with no Python loop; SPI, RVI and the submodularity
-check share one Q-factor routine.
+policy's evaluation instead of solving again; a mixture's J and F are
+read from the same solve.  The improvement pass, the threshold view and
+the structural checks work on the (triples, delta_max + 1) reshape of the
+state space, one row per (x, z, theta) triple, with no Python loop; SPI,
+RVI and the submodularity check share one Q-factor routine.
 """
 
 from __future__ import annotations
@@ -561,49 +561,48 @@ def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float)
 
     One solve of the pinned system (``_pinned_lu``) gives the (J, F) split
     and the bias parts (h_err, h_tx) as two right-hand sides; the gain and
-    bias at lam
-    are J + lam * F and h_err + lam * h_tx, the formula ``_repriced``
-    applies at any other price.  When that system is singular or the
-    residual of (gain, bias) exceeds RESIDUAL_TOL (a policy whose chain
-    splits into closed classes with unequal gains), the system is solved on
-    the class of the reference state instead and the other states are
-    relaxed against its gain.
+    bias at lam are J + lam * F and h_err + lam * h_tx, the formula
+    ``_repriced`` applies at any other price.  When that system is singular
+    or the residual of (gain, bias) exceeds RESIDUAL_TOL (a policy whose
+    chain splits into closed classes with unequal gains), the system is
+    solved on the class of the reference state instead and the other states
+    are relaxed against its gain.
     """
-    q = policy.actions.astype(float)
-    costs = _stage_costs(model, policy.actions)
+    return _evaluate(model, policy.actions.astype(float), _stage_costs(model, policy.actions), lam)
+
+
+def _evaluate(model, q, costs, lam, split=False) -> GainBias:
+    """``policy_evaluate`` for a transmit probability q, a 0/1 action table
+    or a mixture's coin-weighted one, with its cost rows (error, tx).  The
+    residual checked is that of (gain, bias) at lam, or with ``split`` that
+    of each column, for callers that read J and F on their own."""
     rhs = np.vstack([costs.T, np.zeros((1, 2))])
     try:
         factor = _pinned_lu(model, q)
         sol = factor.solve(rhs)
     except RuntimeError:  # singular
-        return _evaluate_on_class(model, q, lam, costs)
+        return _evaluate_on_class(model, q, lam, costs, split)
     sol[:-1] -= sol[model.ref_index]  # h = 0 at ref exactly; K's rows sum to one
     priced = sol[:, 0] + lam * sol[:, 1]  # (bias, gain) at lam
-    resid = float(np.abs(factor.matvec(priced) - (rhs[:, 0] + lam * rhs[:, 1])).max())
+    checked = zip(sol.T, rhs.T) if split else [(priced, rhs[:, 0] + lam * rhs[:, 1])]
+    resid = max(float(np.abs(factor.matvec(x) - b).max()) for x, b in checked)
     if not resid <= RESIDUAL_TOL:
-        return _evaluate_on_class(model, q, lam, costs)
-    parts = np.ascontiguousarray(sol[:-1].T)
-    bias = priced[:-1]
+        return _evaluate_on_class(model, q, lam, costs, split)
     j, f = sol[-1]
     return GainBias(
-        gain=float(priced[-1]),
-        bias=bias,
-        lam=lam,
-        j_component=float(j),
-        f_component=float(f),
-        residual=resid,
-        method="pinned-lu",
-        parts=parts,
+        gain=float(priced[-1]), bias=priced[:-1], lam=lam, j_component=float(j),
+        f_component=float(f), residual=resid, parts=np.ascontiguousarray(sol[:-1].T),
     )
 
 
-def _evaluate_on_class(model, q, lam, costs) -> GainBias:
+def _evaluate_on_class(model, q, lam, costs, split=False) -> GainBias:
     """Evaluation of a policy whose chain has several closed classes.
 
     Solves exactly on the class of the reference state and relaxes the
     remaining states against that gain (best effort; their actions get
     corrected by subsequent improvement steps).  The reported residual
-    covers all states.  The relaxed bias holds at lam alone, so no
+    covers all states, and with ``split`` both columns (error, tx), each
+    relaxed on its own.  The relaxed bias holds at lam alone, so no
     ``parts`` are kept and the result is never re-priced.
     """
     kernel, reach, factor = _class_lu(model, q)
@@ -612,10 +611,11 @@ def _evaluate_on_class(model, q, lam, costs) -> GainBias:
         raise ConvergenceFailure("class-restricted evaluation returned non-finite values")
     sol[:-1] -= sol[model.ref_index]  # the class's rows of K sum to one
     j, f = sol[-1]
-    gain = j + lam * f
-    cost = costs[0] + lam * costs[1]
-    bias = sol[:-1, 0] + lam * sol[:-1, 1]
-    off = np.setdiff1d(np.arange(bias.size), reach, assume_unique=True)
+    if split:
+        gain, cost, bias = sol[-1], costs.T, sol[:-1]
+    else:
+        gain, cost, bias = j + lam * f, costs[0] + lam * costs[1], sol[:-1, 0] + lam * sol[:-1, 1]
+    off = np.setdiff1d(np.arange(model.num_mdp_states), reach, assume_unique=True)
     if off.size:
         bias[off] = 0.0
         k_off = kernel[off]
@@ -626,14 +626,11 @@ def _evaluate_on_class(model, q, lam, costs) -> GainBias:
             if delta < 1e-10:
                 break
     resid = float(np.abs(gain + bias - cost - kernel @ bias).max())
+    if split:
+        gain, bias = j + lam * f, bias[:, 0] + lam * bias[:, 1]
     return GainBias(
-        gain=float(gain),
-        bias=bias,
-        lam=lam,
-        j_component=float(j),
-        f_component=float(f),
-        residual=resid,
-        method="class-solve",
+        gain=float(gain), bias=bias, lam=lam, j_component=float(j),
+        f_component=float(f), residual=resid, method="class-solve",
     )
 
 

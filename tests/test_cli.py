@@ -79,6 +79,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="timing"):
             SystemConfig.from_file(write_doc(tmp_path, {**BASE_DOC, "timing": "late"}))
 
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"estimator": "foo"}, "estimator"),
+            ({"f_max": 5.0}, "f_max"),
+            ({"f_max": 0.0}, "f_max"),
+            ({"timing": "late"}, "timing"),
+        ],
+    )
+    def test_overrides_take_the_same_checks(self, config_path, override, match):
+        cfg = SystemConfig.from_file(config_path)
+        with pytest.raises(ConfigError, match=match):
+            cfg.with_overrides(**override)
+        with pytest.raises(ConfigError, match=match):
+            SystemConfig.from_dict({**BASE_DOC, **override})
+
+    def test_shipped_digests(self):
+        digests = {
+            "three_state": ("b2b61718b22c887b", "a0ebc7f6a0d2cfe9"),
+            "three_state_zoh": ("49c7418fb5b6e432", "704f7700ef3e0d1e"),
+            "symmetric_three": ("3ad47f2c17760478", "fdfe6c2d5ce46539"),
+        }
+        for name, (own, delayed) in digests.items():
+            cfg = SystemConfig.from_file(f"configs/{name}.json")
+            assert cfg.digest() == own
+            assert cfg.with_overrides(timing="delayed").digest() == delayed
+
 
 class TestExitCodes:
     def test_bad_row_sum_exits_two(self, tmp_path, capsys):

@@ -1,19 +1,112 @@
 import numpy as np
 import pytest
 
+import remest.constrained
+import remest.solver
 from remest import (
     BadBracketError,
+    ConvergenceFailure,
     DegenerateSlopesError,
+    DeterministicPolicy,
     InfeasiblePairError,
+    MixturePolicy,
     bisection_solve,
     build_mixture,
     check_switching_structure,
     intersection_step,
     never_transmit_policy,
+    policy_evaluate,
     reactive_policy,
     solve_cmdp,
     stationary_metrics,
 )
+from remest.constrained import F_MATCH_TOL
+from conftest import small_random_model
+
+BUDGETS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+
+
+def reference_build_mixture(model, policy_minus, policy_plus, f_max, f_minus, f_plus):
+    """The calibration the pinned solve replaced, kept as the oracle: an
+    Illinois regula falsi on the stationary law of the randomized kernel
+    (``stationary_metrics``), seeded by the linear interpolation p_lin."""
+    diff = [int(i) for i in np.flatnonzero(policy_minus.actions != policy_plus.actions)]
+    if f_minus - f_plus <= F_MATCH_TOL:
+        p_lin = 0.0
+    else:
+        p_lin = (f_max - f_plus) / (f_minus - f_plus)
+    p_lin = min(max(p_lin, 0.0), 1.0)
+    rates = {}
+
+    def freq_gap(p):
+        met = stationary_metrics(model, MixturePolicy(p, policy_minus, policy_plus, diff))
+        rates[p] = (met.F, met.J)
+        return met.F - f_max
+
+    def illinois(a, fa, b, fb, xtol=1e-12):
+        kept = 0  # -1: a was kept last step, +1: b was kept
+        for _ in range(100):
+            c = (a * fb - b * fa) / (fb - fa)
+            fc = freq_gap(c)
+            if fc == 0.0:
+                return c
+            if fc < 0.0:
+                a, fa = c, fc
+                if kept == 1:
+                    fb *= 0.5
+                kept = 1
+            else:
+                b, fb = c, fc
+                if kept == -1:
+                    fa *= 0.5
+                kept = -1
+            if b - a <= xtol:
+                return c
+        raise AssertionError("reference root-find did not settle")
+
+    gap_lin = freq_gap(p_lin)
+    if abs(gap_lin) <= F_MATCH_TOL * 1e-2:
+        p_star = p_lin
+    elif gap_lin > 0:
+        p_star = illinois(0.0, f_plus - f_max, p_lin, gap_lin)
+    else:
+        p_star = illinois(p_lin, gap_lin, 1.0, f_minus - f_max)
+    return p_star, rates[p_star]
+
+
+def counted_evaluations(monkeypatch):
+    """Patch the evaluator core that calibration calls; returns the list of
+    the transmit-probability tables it was called with."""
+    calls = []
+    core = remest.constrained._evaluate
+
+    def counting(model, q, *args, **kwargs):
+        calls.append(q)
+        return core(model, q, *args, **kwargs)
+
+    monkeypatch.setattr(remest.constrained, "_evaluate", counting)
+    return calls
+
+
+def mixture_pairs(model, budgets=BUDGETS):
+    """(f_max, policy_minus, policy_plus, f_minus, f_plus) of every budget
+    whose constrained solve is a mixture."""
+    for f_max in budgets:
+        sol = solve_cmdp(model, f_max)
+        if sol.is_mixture:
+            pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
+            fm, fp = (policy_evaluate(model, pol, 0.0).f_component for pol in (pm, pp))
+            yield f_max, pm, pp, fm, fp
+
+
+def assert_matches_reference(model, f_max, pm, pp, fm, fp):
+    mix = build_mixture(model, pm, pp, f_max, f_minus=fm, f_plus=fp)
+    p_ref, (f_ref, j_ref) = reference_build_mixture(model, pm, pp, f_max, fm, fp)
+    f, j = mix._rates
+    assert abs(mix.p - p_ref) <= 1e-10
+    assert abs(f - f_ref) <= 1e-10 and abs(j - j_ref) <= 1e-10
+    met = stationary_metrics(model, mix)
+    assert abs(f - met.F) <= 1e-10 and abs(j - met.J) <= 1e-10
 
 
 class TestIntersectionStep:
@@ -202,3 +295,115 @@ def test_budget_above_reactive_frequency_is_free(fixture, request, solved_main):
         assert sol.kind == "deterministic"
         assert sol.lam_star == 0.0
         assert abs(sol.J - reactive.J) <= 1e-8
+
+
+class TestCalibrationOracle:
+    """The pinned-solve calibration against ``reference_build_mixture``."""
+
+    @pytest.mark.parametrize("fixture", ["main_model", "zoh_model", "paper_model", "paper_zoh_model"])
+    def test_config_models(self, fixture, request, monkeypatch):
+        model = request.getfixturevalue(fixture)
+        pairs = list(mixture_pairs(model))
+        assert pairs
+        for f_max, pm, pp, fm, fp in pairs:
+            calls = counted_evaluations(monkeypatch)
+            build_mixture(model, pm, pp, f_max, f_minus=fm, f_plus=fp)
+            assert 1 <= len(calls) <= 3
+            monkeypatch.undo()
+            assert_matches_reference(model, f_max, pm, pp, fm, fp)
+
+    def test_delayed_delta_max_two(self, main_config):
+        model = main_config.with_overrides(delta_max=2).build_model(timing="delayed")
+        pairs = list(mixture_pairs(model))
+        assert pairs
+        for pair in pairs:
+            assert_matches_reference(model, *pair)
+
+    @pytest.mark.parametrize("timing", ["immediate", "delayed"])
+    def test_random_small_models(self, timing):
+        rng = np.random.default_rng(11)
+        seen = 0
+        for _ in range(4):
+            model = small_random_model(rng, timing=timing)
+            for pair in mixture_pairs(model, budgets=[0.1, 0.2]):
+                assert_matches_reference(model, *pair)
+                seen += 1
+        assert seen
+
+
+def one_state_pair(model):
+    """Reactive policy less one transmitting state that carries mass, the
+    reactive policy itself over-transmitting: a pair that differs in one
+    state, with the budget halfway between their frequencies."""
+    plus = reactive_policy(model)
+    mu = stationary_metrics(model, plus).mu
+    state = int(np.argmax(np.where(plus.actions == 1, mu, -1.0)))
+    actions = plus.actions.copy()
+    actions[state] = 0
+    feasible = DeterministicPolicy(actions)
+    f_minus = policy_evaluate(model, plus, 0.0).f_component
+    f_plus = policy_evaluate(model, feasible, 0.0).f_component
+    assert f_minus - f_plus > 1e-4
+    return plus, feasible, f_minus, f_plus, 0.5 * (f_minus + f_plus)
+
+
+@pytest.mark.parametrize("fixture", ["main_model", "zoh_model", "paper_model", "paper_zoh_model"])
+def test_one_state_pair_settles_in_two_evaluations(fixture, request, monkeypatch):
+    # One differing state: by renewal-reward at it, F(p) is a ratio of two
+    # affine functions of p, which the first fitted step recovers exactly.
+    model = request.getfixturevalue(fixture)
+    pm, pp, fm, fp, f_max = one_state_pair(model)
+    calls = counted_evaluations(monkeypatch)
+    mix = build_mixture(model, pm, pp, f_max, f_minus=fm, f_plus=fp)
+    assert len(calls) == 2
+    assert len(mix.differing_states) == 1
+    p_ref, _ = reference_build_mixture(model, pm, pp, f_max, fm, fp)
+    assert abs(mix.p - p_ref) <= 1e-12
+
+
+class TestCalibrationFallback:
+    def test_class_route_rates_are_checked(self, main_model, solved_main, monkeypatch):
+        # The full-space solve refuses every mixture, so each one goes to the
+        # class route; its rates must still be the stationary ones.
+        pinned = remest.solver._pinned_lu
+
+        def refuse_unmasked(model, tx_prob, states=None):
+            if states is None:
+                raise RuntimeError("refused")
+            return pinned(model, tx_prob, states)
+
+        on_class = remest.solver._evaluate_on_class
+        routes = []
+
+        def class_route(*args, **kwargs):
+            gb = on_class(*args, **kwargs)
+            routes.append(gb.residual)
+            return gb
+
+        sol = solved_main(main_model, 0.1)
+        pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
+        monkeypatch.setattr(remest.solver, "_pinned_lu", refuse_unmasked)
+        monkeypatch.setattr(remest.solver, "_evaluate_on_class", class_route)
+        mix = build_mixture(main_model, pm, pp, 0.1)
+        assert len(routes) >= 2 and max(routes) <= 1e-8
+        met = stationary_metrics(main_model, mix)
+        f, j = mix._rates
+        assert abs(f - met.F) <= 1e-10 and abs(j - met.J) <= 1e-10
+        assert abs(mix.p - sol.policy.p) <= 1e-10
+
+    def test_no_factor_raises(self, main_model, solved_main, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("refused")
+
+        sol = solved_main(main_model, 0.1)
+        pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
+        monkeypatch.setattr(remest.solver, "_pinned_lu", refuse)
+        with pytest.raises(ConvergenceFailure):
+            build_mixture(main_model, pm, pp, 0.1, f_minus=0.2, f_plus=0.05)
+
+    def test_unchecked_residual_raises(self, main_model, solved_main, monkeypatch):
+        sol = solved_main(main_model, 0.1)
+        pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
+        monkeypatch.setattr(remest.constrained, "RESIDUAL_TOL", -1.0)
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            build_mixture(main_model, pm, pp, 0.1, f_minus=0.2, f_plus=0.05)
