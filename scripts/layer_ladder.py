@@ -11,6 +11,11 @@ and for a mixture, of a cold ``spi_solve``, of ``build_mixture`` and of
 that gives.  ``mixture_evaluations`` counts the evaluations of the
 randomized policy one ``build_mixture`` makes (calls of the evaluator it
 uses: ``_evaluate``, or ``stationary_metrics`` on a checkout without it).
+``cmdp_grid_cold_s`` is the median seconds of ``solve_cmdp`` at the six
+budgets 0.05, ..., 0.30 in turn on a model built for each repeat (the build
+and its level layout are not timed), and ``cmdp_grid_spi_solves`` the
+``spi_solve`` calls of one such grid: what a one-shot multi-budget command
+pays.
 The rungs are
 
 * S = 378: the ZOH model of ``configs/three_state.json``, delayed timing;
@@ -36,6 +41,7 @@ import time
 import numpy as np
 
 PRICE, MIX_PRICE = 5.0, 2.0
+GRID_BUDGETS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
 SIM_SLOTS = 10**5
 
 
@@ -44,8 +50,8 @@ def _ladder(config_path: str):
 
     config = SystemConfig.from_file(config_path)
     zoh = config.with_overrides(theta_max=1, estimator="zoh")
-    yield "zoh/delayed", zoh.build_model(timing="delayed")
-    yield "map/delayed", config.build_model(timing="delayed")
+    yield "zoh/delayed", lambda: zoh.build_model(timing="delayed")
+    yield "map/delayed", lambda: config.build_model(timing="delayed")
     # The price-sweep-large chain: Dirichlet(0.8) rows plus 2 on the
     # diagonal, renormalised, from recipe seed 0 (bench/workloads.py).
     rng = np.random.default_rng(0)
@@ -64,7 +70,8 @@ def _ladder(config_path: str):
         "seed": 0,
         "estimator": "map",
     }
-    yield "sweep-chain/immediate", SystemConfig.from_dict(doc).build_model(timing="immediate")
+    sweep = SystemConfig.from_dict(doc)
+    yield "sweep-chain/immediate", lambda: sweep.build_model(timing="immediate")
 
 
 def _median_seconds(call, seconds: float) -> float:
@@ -78,23 +85,56 @@ def _median_seconds(call, seconds: float) -> float:
     return statistics.median(times)
 
 
+def _grid(model):
+    from remest import solve_cmdp
+
+    for f_max in GRID_BUDGETS:
+        solve_cmdp(model, f_max)
+
+
+def _cold_grid_seconds(build, seconds: float) -> float:
+    """Median seconds of ``_grid`` on a model made by ``build()`` for each
+    repeat; the build is not timed."""
+
+    def grid():
+        model = build()
+        model.level_layout  # made on the first factorization otherwise
+        t0 = time.perf_counter()
+        _grid(model)
+        return time.perf_counter() - t0
+
+    grid()
+    times = []
+    start = time.perf_counter()
+    while len(times) < 3 or time.perf_counter() - start < seconds:
+        times.append(grid())
+    return statistics.median(times)
+
+
+def _calls(name: str, call) -> int:
+    """Calls one ``call()`` makes of ``remest.constrained``'s global ``name``."""
+    import remest.constrained as constrained
+
+    fn, calls = getattr(constrained, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    setattr(constrained, name, counted)
+    try:
+        call()
+    finally:
+        setattr(constrained, name, fn)
+    return len(calls)
+
+
 def _evaluations(calibrate) -> int:
     """Evaluations of the randomized policy made by one ``calibrate()``."""
     import remest.constrained as constrained
 
     name = "_evaluate" if hasattr(constrained, "_evaluate") else "stationary_metrics"
-    evaluator, calls = getattr(constrained, name), []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return evaluator(*args, **kwargs)
-
-    setattr(constrained, name, counted)
-    try:
-        calibrate()
-    finally:
-        setattr(constrained, name, evaluator)
-    return len(calls)
+    return _calls(name, calibrate)
 
 
 def ladder(config_path: str, seconds: float) -> dict:
@@ -108,7 +148,8 @@ def ladder(config_path: str, seconds: float) -> dict:
     )
 
     out = {}
-    for label, model in _ladder(config_path):
+    for label, build in _ladder(config_path):
+        model = build()
         policy, gb = spi_solve(model, PRICE)[:2]
         other, gb_other = spi_solve(model, MIX_PRICE)[:2]
         f_plus, f_minus = gb.f_component, gb_other.f_component
@@ -134,6 +175,8 @@ def ladder(config_path: str, seconds: float) -> dict:
             "spi_solve_s": _median_seconds(lambda: spi_solve(model, PRICE), seconds),
             "build_mixture_s": _median_seconds(calibrate, seconds),
             "mixture_evaluations": _evaluations(calibrate),
+            "cmdp_grid_cold_s": _cold_grid_seconds(build, seconds),
+            "cmdp_grid_spi_solves": _calls("spi_solve", lambda: _grid(build())),
             "simulate_s": sim_s,
             "simulate_slots_per_s": SIM_SLOTS / sim_s,
         }

@@ -7,12 +7,14 @@ relaxed-cost curve (slope = transmission frequency), which converges in at
 most one step per linear segment and independently of any tolerance.  A
 plain bisection on the frequency is kept as the baseline.  All frequency
 and cost numbers come from the exact evaluation of the solved policies, and
-of their mixture by the same solve, never from simulation.
+of their mixture by the same solve, never from simulation.  The first
+solves of either search do not depend on the budget; the model keeps them,
+so a grid of budgets on one model solves them once (``_PointSolver``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .solver import (
 F_MATCH_TOL = 1e-6
 L_MATCH_RTOL = 1e-8
 SEARCH_MAX_STEPS = 100
+PREFIX_SOLVES = 3  # price 0, lambda_max, then the first step: no budget read
 
 
 @dataclass
@@ -145,20 +148,31 @@ class _PointSolver:
     view, SearchPoint); J and F are read from the solved policy's
     ``GainBias``, not from a second (stationary) solve.  Each solve starts
     from the last solved policy and its ``GainBias``, which ``spi_solve``
-    re-prices instead of evaluating that policy again."""
+    re-prices instead of evaluating that policy again.  A solve's result is
+    thus fixed by the path of prices solved so far.  The first
+    PREFIX_SOLVES of them never read the budget, so they are kept on the
+    model (``SystemModel.search_prefix``), keyed by that path, and shared by
+    every later search that takes the same path (DECISIONS.md section 9).
+    Each entry gets its own copy of the view's dict."""
 
     def __init__(self, model: SystemModel):
         self.model = model
         self.cache = {}
         self._warm = (None, None)
+        self._path = ()
 
     def solve(self, lam: float):
         lam = float(lam)
         if lam in self.cache:
             return self.cache[lam]
-        policy0, start = self._warm
-        policy, gb, view = spi_solve(self.model, lam, policy0=policy0, _start=start)
+        self._path += (lam,)
+        memo = self.model.search_prefix if len(self._path) <= PREFIX_SOLVES else {}
+        if self._path not in memo:
+            policy0, start = self._warm
+            memo[self._path] = spi_solve(self.model, lam, policy0=policy0, _start=start)
+        policy, gb, view = memo[self._path]
         j, f = gb.j_component, gb.f_component
+        view = replace(view, thresholds=dict(view.thresholds))
         entry = (policy, view, SearchPoint(lam=lam, J=j, F=f, L=j + lam * f))
         self.cache[lam] = entry
         self._warm = (policy, gb)
@@ -205,6 +219,9 @@ def bisection_solve(
 
     Halves the bracket by the sign of F - f_max until it is narrower than
     epsilon_tol; the iteration count is ceil(log2(lambda_max/epsilon_tol)).
+    The solves at 0 and lambda_max are shared with every earlier search on
+    the model with the same lambda_max, and lambda_max / 2 with every
+    earlier bisection.
     """
     ps, trace, _, last = _open_bracket(model, f_max, lambda_max, "bisection")
     if last is None:
@@ -329,7 +346,9 @@ def solve_cmdp(
     iterates tangent intersections until either a solved point meets the
     budget exactly (deterministic optimum) or the intersection lands on the
     curve, in which case the two policies just below and above the critical
-    price are mixed.
+    price are mixed.  The solves at 0, lambda_max and the first
+    intersection are shared with every earlier search on the model with the
+    same lambda_max; the result is the same as on a fresh model.
     """
     ps, trace, first, last = _open_bracket(model, f_max, lambda_max, "intersection")
     if last is None:

@@ -275,6 +275,12 @@ class SystemModel:
 
         return level_layout(self)
 
+    @functools.cached_property
+    def search_prefix(self) -> dict:
+        """Solved points of the price search's budget-independent prefix,
+        keyed by the path of prices (``constrained._PointSolver``)."""
+        return {}
+
     def encode(self, x, z, theta, delta):
         """Dense index of (x, z, theta, delta); accepts arrays."""
         n, tm, dm = self.n_states, self.theta_max, self.delta_max

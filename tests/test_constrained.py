@@ -407,3 +407,97 @@ class TestCalibrationFallback:
         monkeypatch.setattr(remest.constrained, "RESIDUAL_TOL", -1.0)
         with pytest.raises(ConvergenceFailure, match="residual"):
             build_mixture(main_model, pm, pp, 0.1, f_minus=0.2, f_plus=0.05)
+
+
+def solution_record(sol):
+    """Everything a constrained solution reports, for comparison with ==:
+    kind, lambda*, p, J, F, the action tables, the views and the trace."""
+    pol = sol.policy
+    pols = [pol.policy_minus, pol.policy_plus] if sol.is_mixture else [pol]
+    views = [v.thresholds for v in (sol.view_minus, sol.view_plus) if v is not None]
+    p = pol.p if sol.is_mixture else None
+    tables = [q.actions.tobytes() for q in pols]
+    return sol.kind, sol.lam_star, p, sol.J, sol.F, tables, views, sol.trace.points, sol.trace.extras
+
+
+def counted_spi_solves(monkeypatch):
+    """Patch the ``spi_solve`` the price search calls; returns the list of
+    the prices it was called at."""
+    prices = []
+    solve = remest.constrained.spi_solve
+
+    def counting(model, lam, *args, **kwargs):
+        prices.append(lam)
+        return solve(model, lam, *args, **kwargs)
+
+    monkeypatch.setattr(remest.constrained, "spi_solve", counting)
+    return prices
+
+
+class TestSearchPrefix:
+    """Searches on one model share the budget-independent prefix (price 0,
+    lambda_max and the first step) and still give what each budget gives
+    on a model of its own.  Each test builds its models: the session
+    fixtures would carry other tests' prefixes."""
+
+    SHUFFLED = [0.20, 0.05, 0.30, 0.10, 0.25, 0.15]
+
+    @staticmethod
+    def fresh(main_config, estimator, timing):
+        if estimator == "zoh":
+            main_config = main_config.with_overrides(theta_max=1, estimator="zoh")
+        return main_config.build_model(timing=timing)
+
+    @pytest.mark.parametrize("timing", ["immediate", "delayed"])
+    @pytest.mark.parametrize("estimator", ["map", "zoh"])
+    def test_budgets_in_any_order_equal_fresh_solves(self, main_config, estimator, timing):
+        alone = {f: solution_record(solve_cmdp(self.fresh(main_config, estimator, timing), f))
+                 for f in BUDGETS}
+        for order in (BUDGETS, self.SHUFFLED):
+            model = self.fresh(main_config, estimator, timing)
+            for f in order:
+                assert solution_record(solve_cmdp(model, f)) == alone[f]
+
+    def test_bisection_interleaved_equals_fresh(self, main_config):
+        model = self.fresh(main_config, "map", "delayed")
+        for f in (0.1, 0.2):
+            cmdp = solution_record(solve_cmdp(model, f))
+            lam, trace = bisection_solve(model, f, 1000.0, 1e-3)
+            other = self.fresh(main_config, "map", "delayed")
+            fresh_lam, fresh_trace = bisection_solve(other, f, 1000.0, 1e-3)
+            assert (lam, trace.points) == (fresh_lam, fresh_trace.points)
+            assert cmdp == solution_record(solve_cmdp(other, f))
+
+    def test_other_lambda_max_shares_only_price_zero(self, main_config, monkeypatch):
+        model = self.fresh(main_config, "zoh", "delayed")
+        solve_cmdp(model, 0.1)
+        prices = counted_spi_solves(monkeypatch)
+        shared = solution_record(solve_cmdp(model, 0.1, lambda_max=500.0))
+        on_model = prices[:]
+        prices.clear()
+        other = self.fresh(main_config, "zoh", "delayed")
+        alone = solution_record(solve_cmdp(other, 0.1, lambda_max=500.0))
+        assert shared == alone
+        assert prices[0] == 0.0 and on_model == prices[1:]
+
+    def test_prefix_reaches_spi_solve_three_times(self, main_config, monkeypatch):
+        model = self.fresh(main_config, "zoh", "delayed")
+        prices = counted_spi_solves(monkeypatch)
+        solutions = [solve_cmdp(model, f) for f in BUDGETS]
+        lam_1 = solutions[0].trace.points[0]["lam"]
+        assert all(sol.trace.points[0]["lam"] == lam_1 for sol in solutions)
+        assert sum(lam in (0.0, 1000.0, lam_1) for lam in prices) == 3
+        shared = len(prices)
+        for f in BUDGETS:
+            solve_cmdp(self.fresh(main_config, "zoh", "delayed"), f)
+        assert len(prices) - shared == shared + 3 * (len(BUDGETS) - 1)
+
+    def test_returned_view_does_not_alias_the_prefix(self, main_config):
+        # f = 0.5 is above F(0): the answer is the stored price-0 point.
+        model = self.fresh(main_config, "map", "delayed")
+        first = solve_cmdp(model, 0.5)
+        assert first.lam_star == 0.0 and first.view_plus.thresholds
+        first.view_plus.thresholds.clear()
+        again = solve_cmdp(model, 0.5)
+        alone = solve_cmdp(self.fresh(main_config, "map", "delayed"), 0.5)
+        assert again.view_plus.thresholds == alone.view_plus.thresholds

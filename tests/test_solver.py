@@ -422,6 +422,19 @@ def test_spi_pass_cap_raises_convergence_failure(main_model, monkeypatch):
         spi_solve(main_model, 5.0)
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceFailure,
+                   reason="the class route's off-class relaxation makes SPI cycle")
+def test_spi_settles_on_the_cycling_chain(monkeypatch):
+    # SPI alternates between two "class-solve" policies of equal gain from
+    # the third pass on; 20 passes show it as well as the default 500.
+    monkeypatch.setattr("remest.solver.SPI_MAX_PASSES", 20)
+    model = build_model(
+        validate_chain([[0.2, 0.7, 0.1], [0.1, 0.2, 0.7], [0.7, 0.1, 0.2]]), 0.7, "hamming",
+        main_age_function(), 8, 8, "map", timing="delayed",
+    )
+    spi_solve(model, 20.0)
+
+
 def loop_threshold_view(model, actions):
     """Triple-by-triple reference for ThresholdView.from_policy and
     check_switching_structure: (thresholds or fault message, violations)."""
