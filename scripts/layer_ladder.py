@@ -13,9 +13,9 @@ randomized policy one ``build_mixture`` makes (calls of the evaluator it
 uses: ``_evaluate``, or ``stationary_metrics`` on a checkout without it).
 ``cmdp_grid_cold_s`` is the median seconds of ``solve_cmdp`` at the six
 budgets 0.05, ..., 0.30 in turn on a model built for each repeat (the build
-and its level layout are not timed), and ``cmdp_grid_spi_solves`` the
-``spi_solve`` calls of one such grid: what a one-shot multi-budget command
-pays.
+and its level layout are not timed), and ``cmdp_grid_spi_solves`` and
+``cmdp_grid_evaluations`` the ``spi_solve`` and ``policy_evaluate`` calls of
+one such grid: what a one-shot multi-budget command pays.
 The rungs are
 
 * S = 378: the ZOH model of ``configs/three_state.json``, delayed timing;
@@ -111,21 +111,19 @@ def _cold_grid_seconds(build, seconds: float) -> float:
     return statistics.median(times)
 
 
-def _calls(name: str, call) -> int:
-    """Calls one ``call()`` makes of ``remest.constrained``'s global ``name``."""
-    import remest.constrained as constrained
-
-    fn, calls = getattr(constrained, name), []
+def _calls(module, name: str, call) -> int:
+    """Calls one ``call()`` makes of ``module``'s global ``name``."""
+    fn, calls = getattr(module, name), []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return fn(*args, **kwargs)
 
-    setattr(constrained, name, counted)
+    setattr(module, name, counted)
     try:
         call()
     finally:
-        setattr(constrained, name, fn)
+        setattr(module, name, fn)
     return len(calls)
 
 
@@ -134,10 +132,12 @@ def _evaluations(calibrate) -> int:
     import remest.constrained as constrained
 
     name = "_evaluate" if hasattr(constrained, "_evaluate") else "stationary_metrics"
-    return _calls(name, calibrate)
+    return _calls(constrained, name, calibrate)
 
 
 def ladder(config_path: str, seconds: float) -> dict:
+    import remest.constrained as constrained
+    import remest.solver as solver
     from remest import (
         MixturePolicy,
         build_mixture,
@@ -176,7 +176,8 @@ def ladder(config_path: str, seconds: float) -> dict:
             "build_mixture_s": _median_seconds(calibrate, seconds),
             "mixture_evaluations": _evaluations(calibrate),
             "cmdp_grid_cold_s": _cold_grid_seconds(build, seconds),
-            "cmdp_grid_spi_solves": _calls("spi_solve", lambda: _grid(build())),
+            "cmdp_grid_spi_solves": _calls(constrained, "spi_solve", lambda: _grid(build())),
+            "cmdp_grid_evaluations": _calls(solver, "policy_evaluate", lambda: _grid(build())),
             "simulate_s": sim_s,
             "simulate_slots_per_s": SIM_SLOTS / sim_s,
         }

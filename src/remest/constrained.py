@@ -9,7 +9,8 @@ plain bisection on the frequency is kept as the baseline.  All frequency
 and cost numbers come from the exact evaluation of the solved policies, and
 of their mixture by the same solve, never from simulation.  The first
 solves of either search do not depend on the budget; the model keeps them,
-so a grid of budgets on one model solves them once (``_PointSolver``).
+so a grid of budgets on one model solves them once, and a search evaluates
+each policy once (``_PointSolver``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .solver import (
     DeterministicPolicy,
     ThresholdView,
     _evaluate,
+    _keep,
     _stage_costs,
     spi_solve,
 )
@@ -145,20 +147,23 @@ def intersection_step(point_minus, point_plus):
 
 class _PointSolver:
     """SPI per price, with warm starts and caching.  Each entry is (policy,
-    view, SearchPoint); J and F are read from the solved policy's
-    ``GainBias``, not from a second (stationary) solve.  Each solve starts
-    from the last solved policy and its ``GainBias``, which ``spi_solve``
-    re-prices instead of evaluating that policy again.  A solve's result is
-    thus fixed by the path of prices solved so far.  The first
-    PREFIX_SOLVES of them never read the budget, so they are kept on the
-    model (``SystemModel.search_prefix``), keyed by that path, and shared by
-    every later search that takes the same path (DECISIONS.md section 9).
-    Each entry gets its own copy of the view's dict."""
+    SearchPoint); J and F are read from the solved policy's ``GainBias``,
+    not from a second (stationary) solve, and no threshold view is built.
+    Each solve starts from the last solved policy.  ``store`` keeps each
+    "pinned-lu" evaluation the search makes or reads, by action table, and
+    ``spi_solve`` re-prices an evaluation found there instead of evaluating
+    that policy again; the re-priced floats are the fresh ones (DECISIONS.md
+    section 10).  A solve's result is thus fixed by the path of prices
+    solved so far.  The first PREFIX_SOLVES of them never read the budget,
+    so they are kept on the model (``SystemModel.search_prefix``), keyed by
+    that path, and shared by every later search that takes the same path
+    (DECISIONS.md section 9)."""
 
     def __init__(self, model: SystemModel):
         self.model = model
         self.cache = {}
-        self._warm = (None, None)
+        self.store = {}
+        self._warm = None
         self._path = ()
 
     def solve(self, lam: float):
@@ -168,14 +173,14 @@ class _PointSolver:
         self._path += (lam,)
         memo = self.model.search_prefix if len(self._path) <= PREFIX_SOLVES else {}
         if self._path not in memo:
-            policy0, start = self._warm
-            memo[self._path] = spi_solve(self.model, lam, policy0=policy0, _start=start)
-        policy, gb, view = memo[self._path]
+            policy, gb, _ = spi_solve(self.model, lam, self._warm, _store=self.store, _view=False)
+            memo[self._path] = policy, replace(gb, bias=None)
+        policy, gb = memo[self._path]
+        _keep(self.store, policy, gb)
         j, f = gb.j_component, gb.f_component
-        view = replace(view, thresholds=dict(view.thresholds))
-        entry = (policy, view, SearchPoint(lam=lam, J=j, F=f, L=j + lam * f))
+        entry = (policy, SearchPoint(lam=lam, J=j, F=f, L=j + lam * f))
         self.cache[lam] = entry
-        self._warm = (policy, gb)
+        self._warm = policy
         return entry
 
 
@@ -200,12 +205,12 @@ def _open_bracket(model: SystemModel, f_max: float, lambda_max: float, method: s
     return ps, trace, first, last
 
 
-def _deterministic(lam_star: float, entry, trace: SearchTrace) -> ConstrainedSolution:
+def _deterministic(model, lam_star: float, entry, trace: SearchTrace) -> ConstrainedSolution:
     """The constrained solution that is the solved policy of ``entry``."""
-    policy, view, pt = entry
+    policy, pt = entry
     return ConstrainedSolution(
-        kind="deterministic", lam_star=lam_star, policy=policy,
-        F=pt.F, J=pt.J, trace=trace, view_plus=view,
+        kind="deterministic", lam_star=lam_star, policy=policy, F=pt.F, J=pt.J,
+        trace=trace, view_plus=ThresholdView.from_policy(model, policy),
     )
 
 
@@ -272,9 +277,10 @@ def build_mixture(
 
     rates = {}  # p -> (F, J); the root-find ends on a p it evaluated
 
+    c_minus, c_plus = _stage_costs(model, a_minus), _stage_costs(model, a_plus)
     def freq_gap(p):
         # Rows (error, tx) as stationary_metrics mixes them; tx is the coin's q.
-        costs = p * _stage_costs(model, a_minus) + (1.0 - p) * _stage_costs(model, a_plus)
+        costs = p * c_minus + (1.0 - p) * c_plus
         gb = _evaluate(model, costs[1], costs, 0.0, split=True)
         if not gb.residual <= RESIDUAL_TOL:
             raise ConvergenceFailure(f"mixture at p = {p!r} has residual {gb.residual:.2e}")
@@ -352,7 +358,7 @@ def solve_cmdp(
     """
     ps, trace, first, last = _open_bracket(model, f_max, lambda_max, "intersection")
     if last is None:
-        return _deterministic(0.0, first, trace)
+        return _deterministic(model, 0.0, first, trace)
 
     lo, hi = first[-1], last[-1]
     lam_star = None
@@ -368,7 +374,7 @@ def solve_cmdp(
         if abs(pt.F - f_max) <= F_MATCH_TOL:
             # The budget sits on this segment: the solved policy is optimal
             # with equality, no mixing needed.
-            return _deterministic(lam_next, entry, trace)
+            return _deterministic(model, lam_next, entry, trace)
         if abs(pt.L - l_tilde) <= L_MATCH_RTOL * max(1.0, abs(pt.L)):
             lam_star = lam_next
             break
@@ -386,13 +392,14 @@ def solve_cmdp(
     trace.extras["epsilon"] = eps
     for entry in (plus, minus):
         if abs(entry[-1].F - f_max) <= F_MATCH_TOL:
-            return _deterministic(lam_star, entry, trace)
-    (pol_m, view_m, pt_m), (pol_p, view_p, pt_p) = minus, plus
+            return _deterministic(model, lam_star, entry, trace)
+    (pol_m, pt_m), (pol_p, pt_p) = minus, plus
     mix = build_mixture(model, pol_m, pol_p, f_max, f_minus=pt_m.F, f_plus=pt_p.F)
     trace.extras["p_linear"] = mix.p_linear
     trace.extras["p_recalibrated"] = mix.p
     f, j = mix._rates
     return ConstrainedSolution(
-        kind="mixture", lam_star=lam_star, policy=mix,
-        F=f, J=j, trace=trace, view_minus=view_m, view_plus=view_p,
+        kind="mixture", lam_star=lam_star, policy=mix, F=f, J=j, trace=trace,
+        view_minus=ThresholdView.from_policy(model, pol_m),
+        view_plus=ThresholdView.from_policy(model, pol_p),
     )

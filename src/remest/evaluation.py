@@ -12,6 +12,7 @@ measured instead of guessed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .solver import (
     GainBias,
     ThresholdView,
     _class_lu,
+    _keep,
     _stage_costs,
     reachable_set,
     spi_solve,
@@ -107,9 +109,9 @@ class SolveOutcome:
 def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     """Solve the relaxed problem along an ascending price grid.
 
-    Each solve warm-starts from the previous solved policy and its
-    ``GainBias``, which ``spi_solve`` re-prices instead of evaluating that
-    policy again.  A library error
+    Each solve warm-starts from the previous solved policy, with a
+    read-only store of that policy's ``GainBias``, which ``spi_solve``
+    re-prices instead of evaluating that policy again.  A library error
     (RemestError) at one point is recorded in that outcome's diagnostics and
     the sweep continues; any other exception propagates.
     """
@@ -117,10 +119,10 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("lambda grid must be sorted ascending")
     outcomes = []
-    policy0 = start = None
+    policy0 = store = None
     for lam in grid:
         try:
-            policy, gb, view = spi_solve(model, lam, policy0=policy0, _start=start)
+            policy, gb, view = spi_solve(model, lam, policy0=policy0, _store=store)
         except RemestError as exc:
             outcomes.append(
                 SolveOutcome(
@@ -142,7 +144,7 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
                 diagnostics={"method": gb.method},
             )
         )
-        policy0, start = policy, gb
+        policy0, store = policy, MappingProxyType(_keep({}, policy, gb))
     return outcomes
 
 

@@ -278,7 +278,8 @@ class SystemModel:
     @functools.cached_property
     def search_prefix(self) -> dict:
         """Solved points of the price search's budget-independent prefix,
-        keyed by the path of prices (``constrained._PointSolver``)."""
+        (policy, price-free ``GainBias``) keyed by the path of prices
+        (``constrained._PointSolver``)."""
         return {}
 
     def encode(self, x, z, theta, delta):

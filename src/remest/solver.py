@@ -25,18 +25,20 @@ the class of the reference state is a row mask of the same system (K's rows
 off it zeroed), not a second one.  The same pinned solve yields J and F of
 the policy, and its bias at any price, since the relaxed cost at price lam
 is the error cost plus lam times the transmit indicator.  So SPI's callers
-read J and F from its ``GainBias``, and a warm start re-prices its start
-policy's evaluation instead of solving again; a mixture's J and F are
-read from the same solve.  The improvement pass, the threshold view and
-the structural checks work on the (triples, delta_max + 1) reshape of the
-state space, one row per (x, z, theta) triple, with no Python loop; SPI,
-RVI and the submodularity check share one Q-factor routine.
+read J and F from its ``GainBias``, and SPI re-prices a policy's
+evaluation made at another price instead of solving again; a mixture's J
+and F are read from the same solve.  The improvement pass, the threshold
+view and the structural checks work on the (triples, delta_max + 1)
+reshape of the state space, one row per (x, z, theta) triple, with no
+Python loop; SPI, RVI and the submodularity check share one Q-factor
+routine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -648,15 +650,17 @@ def _q_factors(model: SystemModel, lam: float, v: np.ndarray):
     return model.idle_cost + ev_i, lam + model.tx_cost + model.p_f * ev_i + model.p_s * ev_s
 
 
-def _evaluation(model: SystemModel, policy: DeterministicPolicy, lam: float, start=None):
+def _evaluation(model: SystemModel, policy: DeterministicPolicy, lam: float, store):
     """The policy's ``GainBias`` at lam and its Q-factors (idle, transmit).
 
-    ``start``, when given, is the policy's evaluation at another price.  A
-    "pinned-lu" one is re-priced, and kept when its Bellman residual
-    max|g + h - Q_pi|, read off the Q-factors the improvement pass needs
-    anyway, is within RESIDUAL_TOL.  Otherwise the policy is evaluated
-    afresh.
+    ``store`` maps action tables (their bytes) to evaluations made at other
+    prices, read for their price-free J, F and ``parts`` only.  A
+    "pinned-lu" entry of the policy is re-priced, and used when its Bellman
+    residual max|g + h - Q_pi|, read off the Q-factors the improvement pass
+    needs anyway, is within RESIDUAL_TOL.  Otherwise the policy is evaluated
+    afresh, and the result goes into the store (``_keep``).
     """
+    start = store.get(policy.actions.tobytes())
     if start is not None and start.parts is not None:
         gb = _repriced(start, lam)
         q0, q1 = _q_factors(model, lam, gb.bias)
@@ -664,7 +668,17 @@ def _evaluation(model: SystemModel, policy: DeterministicPolicy, lam: float, sta
         if gb.residual <= RESIDUAL_TOL:
             return gb, q0, q1
     gb = policy_evaluate(model, policy, lam)
+    _keep(store, policy, gb)
     return (gb, *_q_factors(model, lam, gb.bias))
+
+
+def _keep(store, policy: DeterministicPolicy, gb: GainBias):
+    """Put the policy's "pinned-lu" evaluation, J, F and ``parts`` but not
+    its priced bias, into a store of ``_evaluation`` that is a dict and does
+    not hold one (a read-only mapping is left as it is).  Returns the store."""
+    if gb.parts is not None and isinstance(store, dict):
+        store.setdefault(policy.actions.tobytes(), replace(gb, bias=None))
+    return store
 
 
 def _tie_tol(d: np.ndarray) -> float:
@@ -702,29 +716,30 @@ def spi_solve(
     lam: float,
     policy0: DeterministicPolicy | None = None,
     *,
-    _start: GainBias | None = None,
-) -> tuple[DeterministicPolicy, GainBias, ThresholdView]:
+    _store: dict | MappingProxyType | None = None,
+    _view: bool = True,
+) -> tuple[DeterministicPolicy, GainBias, ThresholdView | None]:
     """Structured policy iteration from the reactive policy.
 
     Alternates exact evaluation with the structured improvement pass until
     the policy is a fixed point, and returns it with its evaluation and view.
     The reactive start keeps the first evaluation off the class route on
     the hold-last-value model, where never-transmit is multichain.  A warm
-    start (policy0) only changes the path, not the fixed point.  The
-    library's warm-started callers also pass policy0's ``GainBias`` from the
-    previous price as ``_start``, whose re-pricing replaces the first
-    evaluation when it passes the residual check (``_evaluation``).
+    start (policy0) only changes the path, not the fixed point.  Callers
+    may pass a ``_store`` of evaluations made at other prices
+    (``_evaluation``): the price search its own, the sweep a read-only one
+    of the previous point.  With ``_view`` false no view is built (None).
     """
     if lam < 0:
         raise DomainError("transmission price must be nonnegative")
+    store = MappingProxyType({}) if _store is None else _store
     actions = (policy0 if policy0 is not None else reactive_policy(model)).actions.copy()
     for _ in range(SPI_MAX_PASSES):
         policy = DeterministicPolicy(actions)
-        gb, q0, q1 = _evaluation(model, policy, lam, _start)
-        _start = None
+        gb, q0, q1 = _evaluation(model, policy, lam, store)
         new_actions = _structured_improvement(model, q1 - q0, actions)
         if np.array_equal(new_actions, actions):
-            return policy, gb, ThresholdView.from_policy(model, policy)
+            return policy, gb, ThresholdView.from_policy(model, policy) if _view else None
         actions = new_actions
     raise ConvergenceFailure(
         f"structured policy iteration did not settle within {SPI_MAX_PASSES} passes"

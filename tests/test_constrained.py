@@ -501,3 +501,57 @@ class TestSearchPrefix:
         again = solve_cmdp(model, 0.5)
         alone = solve_cmdp(self.fresh(main_config, "map", "delayed"), 0.5)
         assert again.view_plus.thresholds == alone.view_plus.thresholds
+
+
+class TestEvaluationStore:
+    """A price search evaluates each policy once, re-pricing its store
+    (``_PointSolver.store``), and builds threshold views only for the
+    policies it returns.  Models are built inside each test, as in
+    ``TestSearchPrefix``."""
+
+    fresh = staticmethod(TestSearchPrefix.fresh)
+
+    @pytest.mark.parametrize("timing", ["immediate", "delayed"])
+    @pytest.mark.parametrize("estimator", ["map", "zoh"])
+    def test_store_moves_no_result(self, main_config, estimator, timing, monkeypatch):
+        model = self.fresh(main_config, estimator, timing)
+        stored = [solution_record(solve_cmdp(model, f)) for f in BUDGETS]
+        solve = remest.constrained.spi_solve
+
+        def without_store(model, lam, *args, _store=None, **kwargs):
+            return solve(model, lam, *args, **kwargs)
+
+        monkeypatch.setattr(remest.constrained, "spi_solve", without_store)
+        model = self.fresh(main_config, estimator, timing)
+        assert [solution_record(solve_cmdp(model, f)) for f in BUDGETS] == stored
+
+    @pytest.mark.parametrize("timing", ["immediate", "delayed"])
+    @pytest.mark.parametrize("estimator", ["map", "zoh"])
+    def test_each_policy_evaluated_once_and_viewed_only_on_return(
+        self, main_config, estimator, timing, monkeypatch
+    ):
+        tables, views = [], []
+        evaluate = remest.solver.policy_evaluate
+        from_policy = remest.solver.ThresholdView.from_policy
+
+        def counted_evaluate(model, policy, lam):
+            tables.append(policy.actions.tobytes())
+            return evaluate(model, policy, lam)
+
+        def counted_view(model, policy):
+            views.append(policy.actions.tobytes())
+            return from_policy(model, policy)
+
+        monkeypatch.setattr(remest.solver, "policy_evaluate", counted_evaluate)
+        monkeypatch.setattr(remest.solver.ThresholdView, "from_policy", staticmethod(counted_view))
+        model = self.fresh(main_config, estimator, timing)
+        for f in BUDGETS:  # the first search solves the prefix, the others read it
+            tables.clear()
+            views.clear()
+            sol = solve_cmdp(model, f)
+            assert len(set(tables)) == len(tables), f
+            assert len(views) == (2 if sol.is_mixture else 1), f
+            tables.clear()
+            views.clear()
+            bisection_solve(model, f, 1000.0, 1e-3)
+            assert len(set(tables)) == len(tables) and views == [], f
