@@ -10,7 +10,11 @@ Each budget also carries the sha256 of the solution's action tables (the
 two pieces of a mixture) and, from ``stationary_metrics`` of its policy, the
 sha256 of the reachable set with F and J.  One point of the class route is
 added: never-transmit at price 1000 on ``delta_max = 2`` under the delayed
-timing, with the route taken, gain, J and F.
+timing, with the route taken, gain, J and F.  Each model also carries a
+kernel section: the sha256 of its ``idle_targets``, ``succ_targets``,
+``idle_cost``, ``tx_cost`` and ``idle_pinned`` arrays and of K(q) at q = 0
+and q = 1 (``solver._kernel_values``), so a change to how the model is built
+shows even where no solve moves.
 
     python scripts/results_digest.py --out new.json
     PYTHONPATH=/path/to/other/checkout/src python scripts/results_digest.py --out old.json
@@ -45,6 +49,7 @@ def _sha256(array) -> str:
 
 def digest(config_path: str) -> dict:
     # --compare needs none of these
+    import numpy as np
     from remest import (
         RemestError,
         SystemConfig,
@@ -55,10 +60,18 @@ def digest(config_path: str) -> dict:
         stationary_metrics,
         sweep_lambda,
     )
+    from remest.solver import _kernel_values
 
     config = SystemConfig.from_file(config_path)
-    points, sweep, budgets = {}, {}, {}
+    points, sweep, budgets, kernel = {}, {}, {}, {}
     for label, model in _models(config):
+        kernel[label] = {
+            f"{name}_sha256": _sha256(getattr(model, name))
+            for name in ("idle_targets", "succ_targets", "idle_cost", "tx_cost", "idle_pinned")
+        }
+        for q in (0, 1):
+            tx_prob = np.full(model.num_mdp_states, float(q))
+            kernel[label][f"K(q={q})_sha256"] = _sha256(_kernel_values(model, tx_prob))
         for lam in PRICES:
             policy, gb, _ = spi_solve(model, lam)
             points[f"{label}/lam={lam}"] = {
@@ -113,14 +126,20 @@ def digest(config_path: str) -> dict:
             "F": gb.f_component,
         }
     }
-    return {"points": points, "sweep": sweep, "budgets": budgets, "class_route": route}
+    return {
+        "points": points,
+        "sweep": sweep,
+        "budgets": budgets,
+        "class_route": route,
+        "kernel": kernel,
+    }
 
 
 def compare(old: dict, new: dict) -> int:
     """Print the differences of two digests; return the exit code."""
     failed = False
     worst, worst_at = 0.0, ""
-    for section in ("points", "sweep", "budgets", "class_route"):
+    for section in ("points", "sweep", "budgets", "class_route", "kernel"):
         a, b = old[section], new[section]
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:

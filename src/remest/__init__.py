@@ -64,13 +64,8 @@ from .model import (
     AssumptionReport,
     MdpState,
     SystemModel,
-    TransitionFan,
-    age_penalty,
     build_model,
     check_assumption1,
-    next_error_age,
-    stage_cost,
-    transition,
 )
 from .solver import (
     DeterministicPolicy,

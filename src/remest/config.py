@@ -88,6 +88,8 @@ class SystemConfig:
             )
         if not (0.0 < self.f_max <= 1.0):
             raise ConfigError(f"f_max {self.f_max} outside (0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} is negative")
 
     @staticmethod
     def from_dict(doc: dict) -> "SystemConfig":

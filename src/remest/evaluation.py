@@ -11,6 +11,7 @@ measured instead of guessed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 
@@ -116,6 +117,8 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     the sweep continues; any other exception propagates.
     """
     grid = [float(l) for l in lambda_grid]
+    if not all(map(math.isfinite, grid)):
+        raise DomainError("lambda grid holds a non-finite price")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("lambda grid must be sorted ascending")
     outcomes = []

@@ -121,31 +121,12 @@ class AgeFunction:
             )
 
 
-def age_penalty(rho: AgeFunction, delta: int) -> float:
-    """Penalty weight at the given consecutive-error age."""
-    return rho.value(delta)
-
-
 class MdpState(NamedTuple):
     x: int
     z: int
     theta: int
     delta: int
     index: int
-
-
-@dataclass(frozen=True)
-class TransitionFan:
-    """Sparse one-step distribution for a (state, action) pair.
-
-    stage_cost_error is the expected distortion-times-age-penalty term of the
-    slot; stage_cost_tx the transmission indicator.  Probabilities sum to one
-    and the fan holds at most 2*n_states entries.
-    """
-
-    pairs: tuple
-    stage_cost_error: float
-    stage_cost_tx: int
 
 
 @dataclass
@@ -391,50 +372,3 @@ def check_assumption1(model: SystemModel) -> AssumptionReport:
         bound_per_state=bound,
         ok_per_state=ok,
     )
-
-
-def next_error_age(model: SystemModel, s: MdpState) -> tuple[int, int]:
-    """Estimate and error age realized by an idle (or failed) slot from s.
-
-    Immediate timing only: under the delayed timing the next error age also
-    depends on the next source state, so it is read from idle_targets.
-    """
-    if model.timing != "immediate":
-        raise DomainError("next_error_age is defined for the immediate timing")
-    i = s.index
-    return int(model.est_next[i]), int(model.delta_next[i])
-
-
-def transition(model: SystemModel, s: MdpState, u: int) -> TransitionFan:
-    """One-step fan of (next index, probability) plus the slot's costs."""
-    if u not in (0, 1):
-        raise DomainError("action must be 0 or 1")
-    i = s.index
-    row = model.chain.rows[s.x]
-    pairs = []
-    if u == 0:
-        for xp in range(model.n_states):
-            if row[xp] > 0.0:
-                pairs.append((int(model.idle_targets[i, xp]), float(row[xp])))
-        cost = float(model.idle_cost[i])
-    else:
-        for xp in range(model.n_states):
-            if row[xp] > 0.0:
-                pairs.append(
-                    (int(model.succ_targets[i, xp]), float(model.p_s * row[xp]))
-                )
-        if model.p_f > 0.0:
-            for xp in range(model.n_states):
-                if row[xp] > 0.0:
-                    pairs.append(
-                        (int(model.idle_targets[i, xp]), float(model.p_f * row[xp]))
-                    )
-        cost = float(model.tx_cost[i])
-    return TransitionFan(pairs=tuple(pairs), stage_cost_error=cost, stage_cost_tx=u)
-
-
-def stage_cost(model: SystemModel, s: MdpState, u: int, lam: float) -> float:
-    """Expected slot cost: distortion-age term plus lam per transmission."""
-    if u == 0:
-        return float(model.idle_cost[s.index])
-    return float(lam + model.tx_cost[s.index])

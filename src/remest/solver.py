@@ -711,6 +711,11 @@ def _structured_improvement(model: SystemModel, d: np.ndarray, incumbent: np.nda
     return actions.astype(np.uint8).ravel()
 
 
+def _check_price(lam: float) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"transmission price {lam} is not finite and nonnegative")
+
+
 def spi_solve(
     model: SystemModel,
     lam: float,
@@ -730,8 +735,7 @@ def spi_solve(
     (``_evaluation``): the price search its own, the sweep a read-only one
     of the previous point.  With ``_view`` false no view is built (None).
     """
-    if lam < 0:
-        raise DomainError("transmission price must be nonnegative")
+    _check_price(lam)
     store = MappingProxyType({}) if _store is None else _store
     actions = (policy0 if policy0 is not None else reactive_policy(model)).actions.copy()
     for _ in range(SPI_MAX_PASSES):
@@ -753,6 +757,7 @@ def rvi_solve(model: SystemModel, lam: float) -> tuple[DeterministicPolicy, Gain
     class restriction, plain Bellman minimization from zero until the span
     of successive value differences is below RVI_SPAN_TOL.
     """
+    _check_price(lam)
     s_ref = model.ref_index
     v = np.zeros(model.num_mdp_states)
     prev_tv = None

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from remest import BadBracketError, SystemConfig, ConfigError, simulate, solve_cmdp
+from remest import solver
 from remest.cli import emit_results, main
 
 BASE_DOC = {
@@ -124,6 +125,26 @@ class TestExitCodes:
         code = main(["check", "--config", path, "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["thresholds", "--fmax-grid", "0.3:0.1:0.05"],
+            ["thresholds", "--fmax-grid", "0.1:0.3"],
+            ["thresholds", "--fmax-grid", "abc"],
+            ["thresholds", "--fmax-grid", "0.1,nan"],
+            ["thresholds", "--fmax-grid", ","],
+            ["truncation", "--theta-grid", "2.5"],
+            ["simulate", "--seed", "-1", "--horizon", "10"],
+        ],
+    )
+    def test_malformed_arguments_exit_two(self, config_path, capsys, args):
+        assert main([*args, "--config", config_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
 
     def test_check_succeeds(self, config_path, tmp_path):
         out = tmp_path / "check.csv"
@@ -264,6 +285,16 @@ class TestCommands:
         assert doc["meta"]["experiment"] == "selftest"
         assert all(rec["passed"] for rec in doc["records"])
         assert "[PASS]" in captured.err
+
+    def test_selftest_reads_the_solver_kernel(self, config_path, capsys, monkeypatch):
+        def leaky(model, tx_prob):
+            return 0.5 * solver._kernel_values(model, tx_prob)
+
+        monkeypatch.setattr("remest.cli._kernel_values", leaky)
+        assert main(["selftest", "--config", config_path, "--format", "json"]) == 1
+        records = json.loads(capsys.readouterr().out)["records"]
+        failed = [rec["check"] for rec in records if not rec["passed"]]
+        assert failed == ["transition-fans-sum-to-one"]
 
 
 class TestEmitResults:

@@ -9,15 +9,12 @@ from remest import (
     AgeFunction,
     DistortionDiagonalError,
     DomainError,
-    age_penalty,
     build_model,
     check_assumption1,
-    next_error_age,
-    stage_cost,
     symmetric_chain,
-    transition,
     validate_chain,
 )
+from remest.solver import _kernel_values, _stage_costs
 from conftest import MAIN_ROWS, main_age_function
 
 
@@ -31,21 +28,21 @@ def main_model_small(theta_max=20, delta_max=20):
 class TestAgeFunction:
     def test_reference_values(self):
         rho = main_age_function()
-        assert abs(age_penalty(rho, 0) - 1.5) < 1e-15
-        assert abs(age_penalty(rho, 3) - (1.2 * math.exp(1.65) + 0.3)) < 1e-12
+        assert abs(rho.value(0) - 1.5) < 1e-15
+        assert abs(rho.value(3) - (1.2 * math.exp(1.65) + 0.3)) < 1e-12
 
     def test_table_lookup(self):
         rho = AgeFunction.from_table([0.0, 1.0, 2.0])
-        assert age_penalty(rho, 1) == 1.0
+        assert rho.value(1) == 1.0
 
     def test_table_geometric_tail(self):
         rho = AgeFunction.from_table([1.0, 2.0], tail_ratio=3.0)
-        assert age_penalty(rho, 2) == 6.0
-        assert age_penalty(rho, 4) == 54.0
+        assert rho.value(2) == 6.0
+        assert rho.value(4) == 54.0
 
     def test_polynomial(self):
         rho = AgeFunction.polynomial([1.0, 0.0, 2.0])
-        assert age_penalty(rho, 3) == 19.0
+        assert rho.value(3) == 19.0
         assert rho.limit_ratio() == 1.0
 
     def test_rejects_negative_params(self):
@@ -116,61 +113,53 @@ class TestDynamics:
         model = build_model(
             symmetric_chain(3, 0.1), 0.7, "hamming", main_age_function(), 20, 20, "map"
         )
-        s = model.decode(int(model.encode(0, 1, 2, 3)))
-        est, delta = next_error_age(model, s)
-        assert (est, delta) == (1, 4)
+        i = int(model.encode(0, 1, 2, 3))
+        assert (model.est_next[i], model.delta_next[i]) == (1, 4)
 
     def test_self_syncing_case(self):
         # Content 1 at age 1 flips to estimate 0 at age 2 on the main chain,
         # so a source sitting at 0 becomes synced by aging alone.
         model = main_model_small()
-        s = model.decode(int(model.encode(0, 1, 1, 2)))
-        est, delta = next_error_age(model, s)
-        assert (est, delta) == (0, 0)
+        i = int(model.encode(0, 1, 1, 2))
+        assert (model.est_next[i], model.delta_next[i]) == (0, 0)
 
     def test_fresh_error_on_estimate_flip(self):
         # (x=1, z=1, theta=1): estimate flips 1 -> 0, neither source nor the
         # old estimate: a new error of age 1.
         model = main_model_small()
-        s = model.decode(int(model.encode(1, 1, 1, 1)))
-        est, delta = next_error_age(model, s)
-        assert (est, delta) == (0, 1)
+        i = int(model.encode(1, 1, 1, 1))
+        assert (model.est_next[i], model.delta_next[i]) == (0, 1)
 
     def test_two_state_flip_chain_case(self):
         chain_a = validate_chain([[0.8, 0.2], [0.3, 0.7]])
         model = build_model(chain_a, 0.7, "hamming", main_age_function(), 10, 10, "map")
-        s = model.decode(int(model.encode(1, 1, 2, 1)))
-        est, delta = next_error_age(model, s)
-        assert (est, delta) == (0, 1)
+        i = int(model.encode(1, 1, 2, 1))
+        assert (model.est_next[i], model.delta_next[i]) == (0, 1)
 
     def test_idle_fan_probabilities(self):
         model = main_model_small()
-        s = model.decode(1234)
-        fan = transition(model, s, 0)
-        assert abs(sum(p for _, p in fan.pairs) - 1.0) < 1e-12
-        assert fan.stage_cost_tx == 0
+        idle = np.zeros(model.num_mdp_states, dtype=np.uint8)
+        column = _kernel_values(model, idle)[:, 1234]
+        assert abs(column.sum() - 1.0) < 1e-12
+        assert (column[model.n_states :] == 0.0).all()
+        assert _stage_costs(model, idle)[1][1234] == 0
 
     def test_transmit_fan_probabilities_and_weights(self):
         model = main_model_small()
-        s = model.decode(987)
-        fan = transition(model, s, 1)
-        assert abs(sum(p for _, p in fan.pairs) - 1.0) < 1e-12
-        assert len(fan.pairs) <= 2 * model.n_states
-        # The success branch carries p_s * Q(x, x') for each successor.
-        succ = dict(fan.pairs[: model.n_states])
-        for xp in range(model.n_states):
-            tgt = int(model.succ_targets[s.index, xp])
-            q = model.chain.rows[s.x, xp]
-            if q > 0:
-                assert abs(succ[tgt] - 0.7 * q) < 1e-12
+        n = model.n_states
+        kernel = _kernel_values(model, np.ones(model.num_mdp_states))
+        assert kernel.shape == (2 * n, model.num_mdp_states)
+        assert abs(kernel[:, 987].sum() - 1.0) < 1e-12
+        # The success entries, at succ_targets[987], carry p_s * Q(x, x').
+        x = model.decode(987).x
+        assert np.abs(kernel[n:, 987] - 0.7 * model.chain.rows[x]).max() < 1e-12
 
     def test_success_targets_are_fresh_synced(self):
         model = main_model_small()
         for idx in (0, 777, 2048, 3968):
             s = model.decode(idx)
-            fan = transition(model, s, 1)
-            for tgt, _ in fan.pairs[: model.n_states]:
-                t = model.decode(tgt)
+            for tgt in model.succ_targets[idx]:
+                t = model.decode(int(tgt))
                 assert t.z == s.x and t.theta == 0 and t.delta == 0
 
     def test_info_age_saturates(self):
@@ -197,26 +186,28 @@ class TestDynamics:
         model = build_model(
             symmetric_chain(3, 0.1), 0.7, "hamming", main_age_function(), 20, 20, "map"
         )
-        s = model.decode(int(model.encode(0, 1, 3, 2)))
+        i = int(model.encode(0, 1, 3, 2))
+        err, tx = _stage_costs(model, np.zeros(model.num_mdp_states, dtype=np.uint8))
         rho3 = 1.2 * math.exp(0.55 * 3) + 0.3
-        assert abs(stage_cost(model, s, 0, 5.0) - rho3) < 1e-12
+        assert abs(err[i] + 5.0 * tx[i] - rho3) < 1e-12
         assert abs(rho3 - 6.548380) < 1e-4
 
     def test_synced_slot_costs_nothing(self):
         model = main_model_small()
         idx = int(np.flatnonzero(model.synced_after_aging)[0])
-        s = model.decode(idx)
-        assert stage_cost(model, s, 0, 7.0) == 0.0
+        err, tx = _stage_costs(model, np.zeros(model.num_mdp_states, dtype=np.uint8))
+        assert err[idx] + 7.0 * tx[idx] == 0.0
 
     def test_transmit_cost_identity(self):
         # cost(transmit) - cost(idle) == lam - p_s * idle_error_cost.
         model = main_model_small()
         lam = 2.5
+        idle_err, idle_tx = _stage_costs(model, np.zeros(model.num_mdp_states, dtype=np.uint8))
+        send_err, send_tx = _stage_costs(model, np.ones(model.num_mdp_states, dtype=np.uint8))
+        lhs = (send_err + lam * send_tx) - (idle_err + lam * idle_tx)
+        rhs = lam - 0.7 * model.idle_cost
         for idx in (5, 444, 1303, 3000):
-            s = model.decode(idx)
-            lhs = stage_cost(model, s, 1, lam) - stage_cost(model, s, 0, lam)
-            rhs = lam - 0.7 * model.idle_cost[idx]
-            assert abs(lhs - rhs) < 1e-12
+            assert abs(lhs[idx] - rhs[idx]) < 1e-12
 
     @settings(max_examples=20, deadline=None)
     @given(st.permutations([0, 1, 2]), st.integers(0, 3968))
@@ -227,20 +218,24 @@ class TestDynamics:
         perm = list(perm)
         s = model.decode(idx)
         t_idx = int(model.encode(perm[s.x], perm[s.z], s.theta, s.delta))
+        # Row s of the targets lists state s's K(q) entries in _kernel_values order.
+        targets = np.hstack([model.idle_targets, model.succ_targets])
         for u in (0, 1):
-            c_orig = stage_cost(model, s, u, 1.0)
-            c_perm = stage_cost(model, model.decode(t_idx), u, 1.0)
-            assert abs(c_orig - c_perm) < 1e-12
-            fan_orig = transition(model, s, u)
-            fan_perm = transition(model, model.decode(t_idx), u)
+            actions = np.full(model.num_mdp_states, u, dtype=np.uint8)
+            err, tx = _stage_costs(model, actions)
+            cost = err + 1.0 * tx
+            assert abs(cost[idx] - cost[t_idx]) < 1e-12
+            kernel = _kernel_values(model, actions)
             mapped = {}
-            for tgt, p in fan_orig.pairs:
-                d = model.decode(tgt)
-                key = int(model.encode(perm[d.x], perm[d.z], d.theta, d.delta))
-                mapped[key] = mapped.get(key, 0.0) + p
+            for tgt, p in zip(targets[idx], kernel[:, idx]):
+                if p > 0.0:
+                    d = model.decode(int(tgt))
+                    key = int(model.encode(perm[d.x], perm[d.z], d.theta, d.delta))
+                    mapped[key] = mapped.get(key, 0.0) + p
             perm_pairs = {}
-            for tgt, p in fan_perm.pairs:
-                perm_pairs[tgt] = perm_pairs.get(tgt, 0.0) + p
+            for tgt, p in zip(targets[t_idx], kernel[:, t_idx]):
+                if p > 0.0:
+                    perm_pairs[int(tgt)] = perm_pairs.get(int(tgt), 0.0) + p
             assert set(mapped) == set(perm_pairs)
             for key, p in mapped.items():
                 assert abs(p - perm_pairs[key]) < 1e-12
@@ -282,14 +277,12 @@ class TestDelayedTiming:
     def test_slot_charged_whatever_the_action(self):
         model = self.sym_delayed()
         idx = int(model.encode(0, 1, 3, 2))
-        s = model.decode(idx)
-        rho2 = age_penalty(main_age_function(), 2)
-        assert stage_cost(model, s, 0, 5.0) == pytest.approx(rho2, abs=1e-12)
-        assert stage_cost(model, s, 1, 5.0) == pytest.approx(5.0 + rho2, abs=1e-12)
-        assert transition(model, s, 1).stage_cost_error == pytest.approx(rho2)
+        rho2 = main_age_function().value(2)
+        for u in (0, 1):
+            err, tx = _stage_costs(model, np.full(model.num_mdp_states, u, dtype=np.uint8))
+            assert err[idx] == pytest.approx(rho2)
+            assert err[idx] + 5.0 * tx[idx] == pytest.approx(5.0 * u + rho2, abs=1e-12)
 
     def test_pinned_where_current_estimate_is_right(self):
         model = self.sym_delayed()
         assert (model.idle_pinned == (model.z_of == model.x_of)).all()
-        with pytest.raises(DomainError):
-            next_error_age(model, model.decode(0))

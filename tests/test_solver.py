@@ -423,6 +423,19 @@ def test_spi_pass_cap_raises_convergence_failure(main_model, monkeypatch):
         spi_solve(main_model, 5.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_non_finite_price_rejected(main_model, lam):
+    with pytest.raises(DomainError):
+        spi_solve(main_model, lam)
+    with pytest.raises(DomainError):
+        rvi_solve(main_model, lam)
+    with pytest.raises(DomainError):
+        sweep_lambda(main_model, [lam])
+    if lam > 0:
+        with pytest.raises(DomainError):
+            solve_cmdp(main_model, 0.1, lambda_max=lam)
+
+
 @pytest.mark.xfail(strict=True, raises=ConvergenceFailure,
                    reason="the class route's off-class relaxation makes SPI cycle")
 def test_spi_settles_on_the_cycling_chain(monkeypatch):
