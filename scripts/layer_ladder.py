@@ -8,9 +8,13 @@ groups, where the update has |T| + 1), and the median seconds per call of
 ``policy_evaluate``, of ``stationary_metrics`` for a deterministic policy
 and for a mixture, of a cold ``spi_solve``, of ``build_mixture`` and of
 ``simulate`` for SIM_SLOTS slots of the mixture, with the slots per second
-that gives.  ``mixture_evaluations`` counts the evaluations of the
-randomized policy one ``build_mixture`` makes (calls of the evaluator it
-uses: ``_evaluate``, or ``stationary_metrics`` on a checkout without it).
+that gives.  ``simulate_low_rate_slots_per_s`` is the same for
+``spi_solve``'s policy at price LOW_RATE_PRICE, which transmits in a few
+per cent of slots: walks from different states meet slowly under it, the
+simulator's worst case (DECISIONS.md section 11).  ``mixture_evaluations``
+counts the evaluations of the randomized policy one ``build_mixture``
+makes (calls of the evaluator it uses: ``_evaluate``, or
+``stationary_metrics`` on a checkout without it).
 ``cmdp_grid_cold_s`` is the median seconds of ``solve_cmdp`` at the six
 budgets 0.05, ..., 0.30 in turn on a model built for each repeat (the build
 and its level layout are not timed), and ``cmdp_grid_spi_solves`` and
@@ -41,6 +45,7 @@ import time
 import numpy as np
 
 PRICE, MIX_PRICE = 5.0, 2.0
+LOW_RATE_PRICE = 100.0
 GRID_BUDGETS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
 SIM_SLOTS = 10**5
 
@@ -163,6 +168,8 @@ def ladder(config_path: str, seconds: float) -> dict:
         layout = model.level_layout
         weights = getattr(layout, "weights", None)
         sim_s = _median_seconds(lambda: simulate(model, mixture, SIM_SLOTS, 1), seconds)
+        low_rate = spi_solve(model, LOW_RATE_PRICE)[0]
+        low_s = _median_seconds(lambda: simulate(model, low_rate, SIM_SLOTS, 1), seconds)
         out[label] = {
             "states": model.num_mdp_states,
             "resets": int(layout.resets.size),
@@ -180,6 +187,7 @@ def ladder(config_path: str, seconds: float) -> dict:
             "cmdp_grid_evaluations": _calls(solver, "policy_evaluate", lambda: _grid(build())),
             "simulate_s": sim_s,
             "simulate_slots_per_s": SIM_SLOTS / sim_s,
+            "simulate_low_rate_slots_per_s": SIM_SLOTS / low_s,
         }
     return out
 

@@ -12,6 +12,7 @@ measured instead of guessed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 
@@ -23,6 +24,7 @@ from .solver import (
     DeterministicPolicy,
     GainBias,
     ThresholdView,
+    _check_actions,
     _class_lu,
     _keep,
     _stage_costs,
@@ -32,6 +34,8 @@ from .solver import (
 
 STATIONARY_TOL = 1e-11
 SIM_BLOCK = 1 << 14  # slots per block of the simulator's draws and records
+SIM_LANES = 128  # lanes a block's walk is cut into (DECISIONS.md section 11)
+SIM_SCALAR_LANES = 8  # the repair finishes this few lanes one slot at a time
 
 
 @dataclass
@@ -69,6 +73,7 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     heaviest state; every other state carries exactly zero mass.
     """
     p, act_minus, act_plus = _mixture_parts(policy)
+    _check_actions(model, act_minus, act_plus)
     costs = p * _stage_costs(model, act_minus) + (1.0 - p) * _stage_costs(model, act_plus)
     kernel, reach, factor = _class_lu(model, costs[1])
     rhs = np.zeros(model.num_mdp_states + 1)
@@ -215,7 +220,9 @@ class SimReport:
     empirical_J_model follows the model's truncated error age (estimate-reset
     under the immediate timing, pair-reset under the delayed timing: the
     exact mirror of the decision process); empirical_J_strict follows the
-    raw pair-reset rule without truncation.
+    raw pair-reset rule without truncation.  channel_success_rate is NaN
+    when the policy never transmits; two reports are equal when every field
+    is, NaN equal to NaN.
     """
 
     horizon: int
@@ -233,6 +240,105 @@ class SimReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
+    def __eq__(self, other):
+        if not isinstance(other, SimReport):
+            return NotImplemented
+        return all(
+            x == y or (x != x and y != y)
+            for x, y in zip(self.as_dict().values(), other.as_dict().values())
+        )
+
+
+def _walk(table: np.ndarray, code: np.ndarray, rec: np.ndarray) -> None:
+    """Fill ``rec[1 : k + 1]`` with the walk ``rec[i + 1] = table[code[i] +
+    rec[i]]`` over the k codes, in lanes (DECISIONS.md section 11).
+
+    The codes are cut into at most SIM_LANES lanes of equal length.  All
+    lanes step together from the block's start state ``rec[0]``, one gather
+    per slot: lane 0's start is right, every other lane's a guess.  Then
+    each lane walks again from its predecessor's end until its state equals
+    its own record at the same slot: the step is a function of the code, so
+    from there on the two walks agree.  A lane that reaches its end without
+    meeting its record has a new end, and the lane after it is walked
+    again.  By induction from lane 0 the record is the sequential walk's,
+    bit for bit.  Where most lanes of a round reach their end unmet, the
+    rest of the block is walked in order, one slot at a time.
+    """
+    k = code.size
+    size = -(-k // SIM_LANES)  # slots per lane
+    P = -(-k // size)
+    padded = np.zeros(P * size, np.int32)  # code 0 is a valid index
+    padded[:k] = code
+    C = np.ascontiguousarray(padded.reshape(P, size).T)  # C[t, j]: lane j's slot t
+    R = np.empty((size, P), np.int32)  # R[t, j]: lane j's state after slot t
+    s = np.full(P, rec[0], np.int32)
+    # Every index is in range; mode "clip" only spares take a buffered copy.
+    for t in range(size):
+        table.take(C[t] + s, out=R[t], mode="clip")
+        s = R[t]
+
+    step, cm, rm = memoryview(table), memoryview(C.ravel()), memoryview(R.ravel())
+
+    def finish(j, t, s):
+        """Walk lane j on from slot t and state s until it meets its record;
+        False when it reaches its end first."""
+        for i in range(t * P + j, size * P, P):
+            s = step[cm[i] + s]
+            if s == rm[i]:
+                return True
+            rm[i] = s
+        return False
+
+    # Walk the lanes still to check together while there are many, each
+    # from its predecessor's end as it stands when the round starts.  Once a
+    # lane meets its record the two agree, so the last slot walked tells
+    # which lanes have met.
+    dirty = np.arange(1, P)
+    first = k  # the slots from here on are walked in order
+    while dirty.size > SIM_SCALAR_LANES:
+        codes, old = C[:, dirty], R[:, dirty]
+        new = np.empty_like(old)
+        s = R[-1, dirty - 1]
+        for t in range(size):
+            table.take(codes[t] + s, out=new[t], mode="clip")
+            s = new[t]
+            off = s != old[t]
+            if np.count_nonzero(off) <= SIM_SCALAR_LANES:
+                break
+        R[: t + 1, dirty] = new[: t + 1]
+        # A lane that has not met holds the new walk up to slot t and the
+        # old one after it: finish it before a later lane is checked.
+        ran = [j for j in dirty[off].tolist() if not finish(j, t + 1, rm[t * P + j])]
+        rare = 2 * len(ran) > dirty.size
+        dirty = np.array([j + 1 for j in ran if j + 1 < P], np.intp)
+        if rare:
+            # Most lanes ran to their end unmet: walks rarely meet within a
+            # lane.  The lanes before the first one left are right; walk on
+            # in order from there.
+            first = int(dirty[0]) * size if dirty.size else k
+            break
+    else:
+        # Check the few lanes left in order, each from its predecessor's end.
+        redo = set(dirty.tolist())
+        moved = False  # whether lane j - 1's end has moved
+        for j in range(int(dirty[0]) if dirty.size else P, P):
+            if moved or j in redo:
+                moved = not finish(j, 0, rm[(size - 1) * P + j - 1])
+    rec[1 : first + 1] = R.T.reshape(-1)[:first]
+    out = memoryview(rec)
+    s, i = out[first], first + 1
+    for c in memoryview(code[first:]):
+        s = step[c + s]
+        out[i] = s
+        i += 1
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {value!r}") from None
+
 
 def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
     """Seeded run of source, channel, policy and receiver, walked on the
@@ -248,17 +354,23 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
     class (the breakpoints of the chain's cumulative rows cut [0, 1) into
     classes that move every row alike), so a slot costs one buffer index.
     The slots run in blocks of SIM_BLOCK, each block's uniforms drawn at
-    once (the same doubles as one draw of the whole horizon) and its record
-    of states priced with array gathers.
+    once (the same doubles as one draw of the whole horizon), its walk cut
+    into lanes that step together (``_walk``) and its record of states
+    priced with array gathers.  The horizon and the seed are nonnegative
+    integers, and the policy's action tables cover the model's states.
 
     The report is bit-reproducible for a fixed seed, and equal field by
     field to a slot-by-slot simulator that re-derives both timings from the
     chain, the channel and the estimate table (``tests/test_evaluation.py``,
     DECISIONS.md section 7).
     """
+    horizon, seed = _integer(horizon, "horizon"), _integer(seed, "seed")
     if horizon < 10**4:
         raise DomainError("horizon must be at least 10^4")
+    if seed < 0:
+        raise DomainError(f"seed {seed} is negative")
     p, act_minus, act_plus = _mixture_parts(policy)
+    _check_actions(model, act_minus, act_plus)
     mixed = act_plus is not act_minus
 
     streams = np.random.SeedSequence(seed).spawn(3)
@@ -284,8 +396,9 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
         step[0, rows] = idle
         step[1:, rows] = np.where(acts[:, rows, None], succ, idle)
     step *= m  # an entry is a row offset: the next slot reads step[code + entry]
-    step = memoryview(step.ravel())
+    step = step.ravel()
     layer = S * m
+    inner = breaks[breaks < 1.0]  # a draw is below 1: the class counts these
 
     n_batches = 50
     batch_len = horizon // n_batches
@@ -295,9 +408,16 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
     ch_success = 0
 
     delayed = model.timing == "delayed"
+    # Per-state pricing tables.  A slot's (source, estimate) pair is its own
+    # state's source with the priced state's estimate; its model cost is the
+    # pair's distortion times the priced state's error-age penalty.
+    flags = acts.ravel()  # flags[coin * S + s]: the action at s
+    pair_x = model.x_of * n
+    dist = model.distortion.ravel()
+    wrong = np.arange(n * n) // n != np.arange(n * n) % n  # pair -> x != estimate
+    rho_model = model.rho_values[model.delta_of]
     rho_strict = model.rho_values
     rec = np.empty(min(SIM_BLOCK, used) + 1, np.int32)  # the block's states, times m
-    out = memoryview(rec)
     rec[0] = model.ref_index * m
     # The run of (source, estimate) pairs in progress before the first slot:
     # none under the immediate timing; under the delayed timing the first
@@ -310,39 +430,35 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
 
     for start in range(0, used, SIM_BLOCK):
         k = min(SIM_BLOCK, used - start)
-        code = np.searchsorted(breaks, rng_src.random(k), side="right").astype(np.int32)
+        draw = rng_src.random(k)
+        code = np.zeros(k, np.int32)
+        for b in inner:
+            code += draw >= b
         delivered = rng_ch.random(k) < model.p_s
         if mixed:
             coin = (rng_coin.random(k) < p).astype(np.int32)
         code += delivered * (1 + coin) * layer
 
-        s = out[0]
-        i = 1
-        for c in memoryview(code):
-            s = step[c + s]
-            out[i] = s
-            i += 1
+        _walk(step, code, rec)
         own = rec[:k] // m
         # The immediate timing charges the slot after the action: next state.
         priced = own if delayed else rec[1 : k + 1] // m
-        rec[0] = s
+        rec[0] = rec[k]
 
-        u = acts[coin, own]
+        u = flags[coin * S + own]
         ch_success += int(np.count_nonzero(u & delivered))
-        x = model.x_of[own]
-        xhat = model.est_prev[priced]
-        d_pair = model.distortion[x, xhat]
+        pair = pair_x[own] + model.est_prev[priced]
+        d_pair = dist[pair]
         block = slice(start, start + k)
-        cost_m[block] = d_pair * model.rho_values[model.delta_of[priced]]
+        cost_m[block] = d_pair * rho_model[priced]
         tx_flag[block] = u
 
         # Strict error age: 0 on a right estimate, else the length of the run
         # of equal (source, estimate) pairs ending at the slot.
-        pair = x * n + xhat
         slots = np.arange(start, start + k)
         changed = pair != np.concatenate(([run_pair], pair[:-1]))
         run_start = np.maximum.accumulate(np.where(changed, slots, run_from))
-        strict = np.where(x != xhat, slots - run_start + 1, 0)
+        strict = np.where(wrong[pair], slots - run_start + 1, 0)
         run_pair, run_from = int(pair[-1]), int(run_start[-1])
         top = int(strict.max())
         if top >= rho_strict.size:

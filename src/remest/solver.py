@@ -65,7 +65,14 @@ class DeterministicPolicy:
     actions: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.actions, dtype=np.uint8)
+        raw = np.asarray(self.actions)
+        if raw.dtype == np.uint8:  # the solver's own tables: one pass
+            bad = raw.size and raw.max() > 1
+        else:
+            bad = not ((raw == 0) | (raw == 1)).all()
+        if bad:
+            raise DomainError("policy actions must be 0 or 1")
+        a = np.asarray(raw, dtype=np.uint8)
         a.setflags(write=False)
         self.actions = a
 
@@ -558,6 +565,15 @@ def _span(x: np.ndarray) -> float:
     return float(x.max() - x.min())
 
 
+def _check_actions(model: SystemModel, *tables: np.ndarray) -> None:
+    """Raise DomainError unless every action table covers model's states."""
+    for actions in tables:
+        if actions.size != model.num_mdp_states:
+            raise DomainError(
+                f"policy has {actions.size} actions, the model {model.num_mdp_states} states"
+            )
+
+
 def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float) -> GainBias:
     """Gain and bias of a fixed policy, bias pinned to zero at model.ref_index.
 
@@ -570,6 +586,7 @@ def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float)
     solved on the class of the reference state instead and the other states
     are relaxed against its gain.
     """
+    _check_actions(model, policy.actions)
     return _evaluate(model, policy.actions.astype(float), _stage_costs(model, policy.actions), lam)
 
 

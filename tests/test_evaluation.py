@@ -17,6 +17,7 @@ from remest import (
     reactive_policy,
     simulate,
     solve_cmdp,
+    spi_solve,
     stationary_metrics,
     sweep_lambda,
     symmetric_chain,
@@ -203,9 +204,7 @@ def oracle_case_policy(model, kind):
 
 def same_report(a, b):
     """Field-by-field equality of two reports, NaN equal to NaN."""
-    return all(
-        x == y or (x != x and y != y) for x, y in zip(a.as_dict().values(), b.as_dict().values())
-    )
+    return a == b
 
 
 # (chain, estimator, timing, p_s, delta_max, policy).  A horizon of 40 017
@@ -449,3 +448,110 @@ class TestSimulate:
         rep = simulate(main_model, sol.policy, 10**5, 11)
         met = stationary_metrics(main_model, sol.policy)
         assert abs(rep.empirical_F - met.F) <= 4 * rep.se_F
+
+    def test_never_transmitting_report_equals_its_rerun(self, main_model):
+        policy = never_transmit_policy(main_model)
+        r1 = simulate(main_model, policy, 10**4, 7)
+        assert r1.channel_success_rate != r1.channel_success_rate  # NaN
+        assert r1 == simulate(main_model, policy, 10**4, 7)
+        assert r1 != simulate(main_model, policy, 10**4, 8)
+
+
+def sequential_walk(table, code, start):
+    """The record ``_walk`` must give, one slot at a time."""
+    rec = [start]
+    for c in code.tolist():
+        rec.append(int(table[c + rec[-1]]))
+    return rec
+
+
+class TestLaneWalk:
+    @pytest.mark.parametrize("kind", ["merging", "permutation", "constant"])
+    @pytest.mark.parametrize("k", [1, 7, 1000, 16384])
+    def test_matches_sequential_walk(self, kind, k):
+        # States 0..49 times m = 3, codes in 0..2.  Random successors merge
+        # walks; a permutation per code never does, so the block is walked in
+        # order after the first round; constant successors meet at once.
+        S, m = 50, 3
+        rng = np.random.default_rng(k)
+        if kind == "merging":
+            nxt = rng.integers(0, S, (S, m))
+        elif kind == "permutation":
+            nxt = np.stack([rng.permutation(S) for _ in range(m)], axis=1)
+        else:
+            nxt = np.full((S, m), 4)
+        table = (nxt * m).astype(np.int32).ravel()
+        code = rng.integers(0, m, k).astype(np.int32)
+        rec = np.empty(k + 1, np.int32)
+        rec[0] = 17 * m
+        remest.evaluation._walk(table, code, rec)
+        assert rec.tolist() == sequential_walk(table, code, 17 * m)
+
+    @pytest.mark.parametrize("horizon", [40_017, 10_007])
+    @pytest.mark.parametrize("chain, estimator, timing, p_s, delta_max, kind", ORACLE_CASES)
+    def test_short_lanes_match_reference(
+        self, monkeypatch, chain, estimator, timing, p_s, delta_max, kind, horizon
+    ):
+        # Lanes of 1 to 3 slots, so nearly every lane is repaired; the
+        # cut-over to the one-slot finish at none, the default and every lane.
+        model = oracle_case_model(chain, estimator, timing, p_s, delta_max)
+        policy = oracle_case_policy(model, kind)
+        want = reference_simulate(model, policy, horizon, 11)
+        block = remest.evaluation.SIM_BLOCK
+        for size in (1, 2, 3):
+            for scalar in (0, remest.evaluation.SIM_SCALAR_LANES, block):
+                monkeypatch.setattr(remest.evaluation, "SIM_LANES", -(-block // size))
+                monkeypatch.setattr(remest.evaluation, "SIM_SCALAR_LANES", scalar)
+                assert same_report(simulate(model, policy, horizon, 11), want), (size, scalar)
+
+    @pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
+    def test_low_rate_policy_matches_reference(self, request, fixture):
+        # Transmitting in about 2-3% of slots, walks from different states
+        # meet slowly: the lanes' worst case.
+        model = request.getfixturevalue(fixture)
+        policy = spi_solve(model, 100.0)[0]
+        got = simulate(model, policy, 40_017, 11)
+        assert got.empirical_F < 0.05
+        assert same_report(got, reference_simulate(model, policy, 40_017, 11))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", ["simulate", "policy_evaluate", "stationary_metrics"])
+    def test_foreign_policy_rejected(self, main_model, paper_zoh_model, solved_main, call):
+        larger, smaller = reactive_policy(main_model), never_transmit_policy(paper_zoh_model)
+        mixture = solved_main(main_model, 0.1).policy
+        run = {
+            "simulate": lambda model, policy: simulate(model, policy, 10**4, 1),
+            "policy_evaluate": lambda model, policy: policy_evaluate(model, policy, 1.0),
+            "stationary_metrics": stationary_metrics,
+        }[call]
+        with pytest.raises(DomainError, match="3969 actions, the model 378 states"):
+            run(paper_zoh_model, larger)
+        with pytest.raises(DomainError, match="378 actions, the model 3969 states"):
+            run(main_model, smaller)
+        if call != "policy_evaluate":
+            with pytest.raises(DomainError):
+                run(paper_zoh_model, mixture)
+
+    @pytest.mark.parametrize("horizon, seed", [(10**4, -1), (10**4, 1.5), (1e5, 1), ("10000", 1)])
+    def test_simulate_rejects_bad_horizon_or_seed(self, main_model, horizon, seed):
+        with pytest.raises(DomainError):
+            simulate(main_model, reactive_policy(main_model), horizon, seed)
+
+    def test_simulate_accepts_numpy_integers(self, main_model):
+        policy = reactive_policy(main_model)
+        got = simulate(main_model, policy, np.int64(10**4), np.uint32(7))
+        assert got == simulate(main_model, policy, 10**4, 7)
+
+    @pytest.mark.parametrize(
+        "actions", [np.full(5, 2), np.full(5, 2, np.uint8), [0, 1, -1], [0.0, 0.5], [1, np.nan]]
+    )
+    def test_action_outside_zero_one_rejected(self, actions):
+        with pytest.raises(DomainError):
+            DeterministicPolicy(np.asarray(actions))
+
+    @pytest.mark.parametrize(
+        "actions, want", [([True, False], [1, 0]), ([0.0, 1.0], [0, 1]), ([1, 1], [1, 1])]
+    )
+    def test_zero_one_actions_accepted(self, actions, want):
+        assert DeterministicPolicy(np.asarray(actions)).actions.tolist() == want
