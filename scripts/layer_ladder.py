@@ -33,16 +33,42 @@ calibrates that pair to the budget midway between their frequencies.  Each
 layer is called until ``--seconds`` have passed (at least three calls), one
 warm-up call first.
 
+Every timed call goes through the benchmark's host-speed clock
+(``bench/hostspeed.Clock``), and each layer's batch of calls is corrected
+by the reference passes pooled over that batch (``Clock.pooled``): the
+seconds above are corrected medians, the time a call would take on a host
+where one reference pass takes ``hostspeed.REFERENCE_S``.  The raw medians
+are printed under ``"raw"`` for information.  As ``bench/run.py`` does, the
+process pins itself to one core and one BLAS/OpenMP thread before numpy
+loads.
+
     python scripts/layer_ladder.py
     PYTHONPATH=/path/to/other/checkout/src python scripts/layer_ladder.py
 """
 
 import argparse
 import json
+import os
 import statistics
+import sys
 import time
+from pathlib import Path
 
-import numpy as np
+
+def _pin_to_one_core():
+    """One core, one BLAS/OpenMP thread: the host-speed correction reads the
+    speed of the core the process runs on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+
+
+if __name__ == "__main__":
+    _pin_to_one_core()  # before numpy loads
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))  # hostspeed.py
+import numpy as np  # noqa: E402
+from hostspeed import Clock  # noqa: E402
 
 PRICE, MIX_PRICE = 5.0, 2.0
 LOW_RATE_PRICE = 100.0
@@ -79,15 +105,19 @@ def _ladder(config_path: str):
     yield "sweep-chain/immediate", lambda: sweep.build_model(timing="immediate")
 
 
-def _median_seconds(call, seconds: float) -> float:
+def _median_seconds(call, seconds: float) -> tuple[float, float]:
+    """(corrected, raw) median seconds of ``call()`` over one batch."""
     call()
-    times = []
+    clock = Clock()
     start = time.perf_counter()
-    while len(times) < 3 or time.perf_counter() - start < seconds:
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    while len(clock.calls) < 3 or time.perf_counter() - start < seconds:
+        clock.time(call)
+    return _medians(clock.pooled())
+
+
+def _medians(pairs) -> tuple[float, float]:
+    """(corrected, raw) medians of ``Clock.pooled`` (raw, corrected) pairs."""
+    return statistics.median(c for _, c in pairs), statistics.median(r for r, _ in pairs)
 
 
 def _grid(model):
@@ -97,23 +127,22 @@ def _grid(model):
         solve_cmdp(model, f_max)
 
 
-def _cold_grid_seconds(build, seconds: float) -> float:
-    """Median seconds of ``_grid`` on a model made by ``build()`` for each
-    repeat; the build is not timed."""
+def _cold_grid_seconds(build, seconds: float) -> tuple[float, float]:
+    """(corrected, raw) median seconds of ``_grid`` on a model made by
+    ``build()`` for each repeat; the build is not timed."""
+    clock = Clock()
 
     def grid():
         model = build()
         model.level_layout  # made on the first factorization otherwise
-        t0 = time.perf_counter()
-        _grid(model)
-        return time.perf_counter() - t0
+        clock.time(_grid, model)
 
     grid()
-    times = []
+    first = len(clock.calls)
     start = time.perf_counter()
-    while len(times) < 3 or time.perf_counter() - start < seconds:
-        times.append(grid())
-    return statistics.median(times)
+    while len(clock.calls) - first < 3 or time.perf_counter() - start < seconds:
+        grid()
+    return _medians(clock.pooled(first))
 
 
 def _calls(module, name: str, call) -> int:
@@ -167,13 +196,7 @@ def ladder(config_path: str, seconds: float) -> dict:
         mixture = MixturePolicy(p=0.5, policy_minus=other, policy_plus=policy, differing_states=diff)
         layout = model.level_layout
         weights = getattr(layout, "weights", None)
-        sim_s = _median_seconds(lambda: simulate(model, mixture, SIM_SLOTS, 1), seconds)
-        low_rate = spi_solve(model, LOW_RATE_PRICE)[0]
-        low_s = _median_seconds(lambda: simulate(model, low_rate, SIM_SLOTS, 1), seconds)
-        out[label] = {
-            "states": model.num_mdp_states,
-            "resets": int(layout.resets.size),
-            "groups": None if weights is None else int(weights.shape[0]),
+        timed = {
             "policy_evaluate_s": _median_seconds(lambda: policy_evaluate(model, policy, PRICE), seconds),
             "stationary_metrics_s": _median_seconds(lambda: stationary_metrics(model, policy), seconds),
             "stationary_metrics_mixture_s": _median_seconds(
@@ -181,13 +204,25 @@ def ladder(config_path: str, seconds: float) -> dict:
             ),
             "spi_solve_s": _median_seconds(lambda: spi_solve(model, PRICE), seconds),
             "build_mixture_s": _median_seconds(calibrate, seconds),
-            "mixture_evaluations": _evaluations(calibrate),
             "cmdp_grid_cold_s": _cold_grid_seconds(build, seconds),
+            "simulate_s": _median_seconds(lambda: simulate(model, mixture, SIM_SLOTS, 1), seconds),
+        }
+        low_rate = spi_solve(model, LOW_RATE_PRICE)[0]
+        low_s = _median_seconds(lambda: simulate(model, low_rate, SIM_SLOTS, 1), seconds)
+        out[label] = {
+            "states": model.num_mdp_states,
+            "resets": int(layout.resets.size),
+            "groups": None if weights is None else int(weights.shape[0]),
+            **{name: corrected for name, (corrected, _) in timed.items()},
+            "mixture_evaluations": _evaluations(calibrate),
             "cmdp_grid_spi_solves": _calls(constrained, "spi_solve", lambda: _grid(build())),
             "cmdp_grid_evaluations": _calls(solver, "policy_evaluate", lambda: _grid(build())),
-            "simulate_s": sim_s,
-            "simulate_slots_per_s": SIM_SLOTS / sim_s,
-            "simulate_low_rate_slots_per_s": SIM_SLOTS / low_s,
+            "simulate_slots_per_s": SIM_SLOTS / timed["simulate_s"][0],
+            "simulate_low_rate_slots_per_s": SIM_SLOTS / low_s[0],
+            "raw": {
+                **{name: raw for name, (_, raw) in timed.items()},
+                "simulate_low_rate_s": low_s[1],
+            },
         }
     return out
 

@@ -149,15 +149,16 @@ class _PointSolver:
     """SPI per price, with warm starts and caching.  Each entry is (policy,
     SearchPoint); J and F are read from the solved policy's ``GainBias``,
     not from a second (stationary) solve, and no threshold view is built.
-    Each solve starts from the last solved policy.  ``store`` keeps each
-    "pinned-lu" evaluation the search makes or reads, by action table, and
-    ``spi_solve`` re-prices an evaluation found there instead of evaluating
-    that policy again; the re-priced floats are the fresh ones (DECISIONS.md
-    section 10).  A solve's result is thus fixed by the path of prices
-    solved so far.  The first PREFIX_SOLVES of them never read the budget,
-    so they are kept on the model (``SystemModel.search_prefix``), keyed by
-    that path, and shared by every later search that takes the same path
-    (DECISIONS.md section 9)."""
+    Each solve starts from ``_warm``, the last solved policy unless the
+    caller sets another.  ``store`` keeps each "pinned-lu" evaluation the
+    search makes or reads, by action table, and ``spi_solve`` re-prices an
+    evaluation found there instead of evaluating that policy again; the
+    re-priced floats are the fresh ones (DECISIONS.md section 10).  A
+    solve's result is thus fixed by the path of prices solved so far.  The
+    first PREFIX_SOLVES of them never read the budget, so they are kept on
+    the model (``SystemModel.search_prefix``), keyed by that path, and
+    shared by every later search that takes the same path (DECISIONS.md
+    section 9)."""
 
     def __init__(self, model: SystemModel):
         self.model = model
@@ -360,7 +361,7 @@ def solve_cmdp(
     if last is None:
         return _deterministic(model, 0.0, first, trace)
 
-    lo, hi = first[-1], last[-1]
+    (lo_policy, lo), (hi_policy, hi) = first, last
     lam_star = None
     for _ in range(SEARCH_MAX_STEPS):
         if lo.F <= f_max or hi.F > f_max:
@@ -379,16 +380,18 @@ def solve_cmdp(
             lam_star = lam_next
             break
         if pt.F > f_max:
-            lo = pt
+            lo_policy, lo = entry
         else:
-            hi = pt
+            hi_policy, hi = entry
     if lam_star is None:
         raise NoProgressError(f"intersection search did not settle in {SEARCH_MAX_STEPS} steps")
 
     eps = max(epsilon_mix, epsilon_mix * lam_star)
-    lam_minus = max(lam_star - eps, 0.0)
-    lam_plus = lam_star + eps
-    minus, plus = ps.solve(lam_minus), ps.solve(lam_plus)
+    # Warm-start each side from its bracket end: ties at lambda* -/+ eps keep the start's action.
+    ps._warm = lo_policy
+    minus = ps.solve(max(lam_star - eps, 0.0))
+    ps._warm = hi_policy
+    plus = ps.solve(lam_star + eps)
     trace.extras["epsilon"] = eps
     for entry in (plus, minus):
         if abs(entry[-1].F - f_max) <= F_MATCH_TOL:

@@ -1,12 +1,12 @@
 """Exact and empirical policy evaluation.
 
-Exact route: stationary law of the policy-induced chain restricted to the
-states reachable from the reference state, then frequency and error cost as
-expectations under it.  Empirical route: a seeded walk on the model's own
-successor tables, so it follows the model's slot timing without a second
-copy of it, pricing two consecutive-error-age semantics (the truncated rule
-the decision process uses, and the raw pair-reset rule) so their gap is
-measured instead of guessed.
+Exact route: stationary law of the policy-induced chain started from the
+reference state, then frequency and error cost as expectations under it.
+Empirical route: a seeded walk on the model's own successor tables, so it
+follows the model's slot timing without a second copy of it, pricing two
+consecutive-error-age semantics (the truncated rule the decision process
+uses, and the raw pair-reset rule) so their gap is measured instead of
+guessed.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ from .solver import (
     GainBias,
     ThresholdView,
     _check_actions,
-    _class_lu,
+    _class_systems,
+    _closed_classes,
     _keep,
+    _pinned_lu,
     _stage_costs,
+    induced_kernel,
     reachable_set,
     spi_solve,
 )
@@ -65,33 +68,37 @@ def _mixture_parts(policy):
 def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     """Exact frequency and error cost of a deterministic or mixture policy.
 
-    The stationary law is solved directly on the set reachable from the
-    reference state, with the factor that policy evaluation uses
-    (``solver._pinned_lu``, transposed), K's rows off that set masked out
-    (``solver._class_lu``), and its balance residual is checked against
-    STATIONARY_TOL.  The law is then kept on the closed class of its
-    heaviest state; every other state carries exactly zero mass.
+    With one closed class of K(q) (``solver._closed_classes``) the law is
+    the transposed solve of policy evaluation's pinned system
+    (``solver._pinned_lu``), kept on that class; with several, each class's
+    law (``solver._class_systems``) weighted by the chance of ending there
+    from the reference state.  Transient states carry exactly zero mass, and
+    the balance residual max|mu K - mu| is checked against STATIONARY_TOL.
     """
     p, act_minus, act_plus = _mixture_parts(policy)
     _check_actions(model, act_minus, act_plus)
     costs = p * _stage_costs(model, act_minus) + (1.0 - p) * _stage_costs(model, act_plus)
-    kernel, reach, factor = _class_lu(model, costs[1])
-    rhs = np.zeros(model.num_mdp_states + 1)
-    rhs[-1] = 1.0
-    sol = factor.solve(rhs, trans="T")
-    resid = np.abs(factor.matvec(sol, trans="T") - rhs).max()
+    kernel = induced_kernel(model, costs[1])
+    label = _closed_classes(kernel)
+    mu = np.zeros(model.num_mdp_states)
+    try:
+        if label.max() == 0:
+            law = _pinned_lu(model, costs[1]).solve(np.append(mu, 1.0), trans="T")[:-1]
+            mu = np.where(label == 0, law, 0.0)
+        else:
+            members, _, laws, _, absorb, _ = _class_systems(model, kernel)
+            for states, law, w in zip(members, laws, absorb[model.ref_index]):
+                mu[states] = w * law
+    except RuntimeError as exc:  # exactly singular
+        raise ConvergenceFailure(f"stationary law not solved: {exc}") from exc
+    mu = np.clip(mu, 0.0, None)
+    mu /= mu.sum()
+    resid = np.abs(kernel.T @ mu - mu).max()
     if not resid <= STATIONARY_TOL:
         raise ConvergenceFailure(f"stationary law balance residual {resid:.2e}")
-    # The law lives on the closed class, the states reachable from its
-    # heaviest state; the solve leaves round-off on the rest of the reach
-    # set, which is transient when the reference state is.
-    closed = reachable_set(kernel, int(np.argmax(sol[:-1])))
-    mu = np.zeros(model.num_mdp_states)
-    mu[closed] = np.clip(sol[closed], 0.0, None)
-    mu /= mu.sum()
     f = float(mu @ costs[1])
     j = float(mu @ costs[0])
-    return StationaryMetrics(mu=mu, F=f, J=j, reachable=reach)
+    return StationaryMetrics(mu=mu, F=f, J=j, reachable=reachable_set(kernel, model.ref_index))
 
 
 @dataclass

@@ -20,9 +20,9 @@ along the age levels, and U V^T, of rank G + 1, holds the deliveries and
 the pin.  M0 is solved by a SuperLU factor of its theta_max block and one
 gather per lower level, M by a Sherman-Morrison-Woodbury update of that
 (``_LevelFactor``).  The level layout (``LevelLayout``) is made once per
-model, on the first factorization.  On a chain with several closed classes,
-the class of the reference state is a row mask of the same system (K's rows
-off it zeroed), not a second one.  The same pinned solve yields J and F of
+model, on the first factorization.  A chain with several closed classes
+is evaluated class by class instead (``_class_solve``), and SPI compares
+its gains before its biases.  The same pinned solve yields J and F of
 the policy, and its bias at any price, since the relaxed cost at price lam
 is the error cost plus lam times the transmit indicator.  So SPI's callers
 read J and F from its ``GainBias``, and SPI re-prices a policy's
@@ -72,9 +72,8 @@ class DeterministicPolicy:
             bad = not ((raw == 0) | (raw == 1)).all()
         if bad:
             raise DomainError("policy actions must be 0 or 1")
-        a = np.asarray(raw, dtype=np.uint8)
-        a.setflags(write=False)
-        self.actions = a
+        self.actions = np.array(raw, dtype=np.uint8)  # a copy: the caller's stays writable
+        self.actions.setflags(write=False)
 
     def same_as(self, other: "DeterministicPolicy") -> bool:
         return np.array_equal(self.actions, other.actions)
@@ -96,13 +95,14 @@ class GainBias:
     is the (2, S) array of the matching bias parts, h_err and h_tx, with
     bias == h_err + lam * h_tx.  None of them depends on the price, so a
     "pinned-lu" evaluation holds the policy's gain and bias at every price
-    (``_repriced``).  ``parts`` is None for "class-solve" and "rvi": the
-    class route's off-class bias is relaxed at one price, so it is never
-    re-priced.  ``residual`` is the largest Bellman residual of (gain,
-    bias).  ``method`` names the route: "pinned-lu" (the full-space level
-    solve of ``_pinned_lu``), "class-solve" (a multichain policy, see
-    ``policy_evaluate``) or "rvi".  ``sweeps`` counts value-iteration
-    sweeps and is 0 for a direct solve.
+    (``_repriced``).  ``parts`` is None for "class-solve" and "rvi", which
+    are never re-priced.  ``gains`` is every state's gain on "class-solve",
+    whose closed classes can differ in gain (``gain``, J and F are the
+    reference state's), and None on the unichain routes.  ``residual`` is
+    the largest Bellman residual of (gain, bias).  ``method`` names the
+    route: "pinned-lu" (the full-space level solve of ``_pinned_lu``),
+    "class-solve" (a multichain policy, ``_class_solve``) or "rvi".
+    ``sweeps`` counts value-iteration sweeps and is 0 for a direct solve.
     """
 
     gain: float
@@ -114,6 +114,7 @@ class GainBias:
     method: str = "pinned-lu"
     sweeps: int = 0
     parts: np.ndarray | None = None
+    gains: np.ndarray | None = None
 
 
 @dataclass
@@ -229,6 +230,15 @@ def _kernel_values(model: SystemModel, tx_prob: np.ndarray) -> np.ndarray:
     return (np.stack([1.0 - w, w]).reshape(2, 1, n, -1) * rows).reshape(2 * n, w.size)
 
 
+def _closed_classes(graph: sp.csr_matrix) -> np.ndarray:
+    """Closed classes of a chain whose support is ``graph``: its strongly
+    connected components with no edge out, numbered from 0, -1 off them."""
+    count, label = connected_components(graph, directed=True, connection="strong")
+    tail = np.repeat(label, np.diff(graph.indptr))  # the component of each edge's tail
+    leaves = np.bincount(tail, tail != label[graph.indices], count) == 0
+    return np.where(leaves[label], np.cumsum(leaves)[label] - 1, -1)
+
+
 @dataclass(frozen=True)
 class LevelLayout:
     """The pinned system's unknowns in AoI levels (``SystemModel.level_layout``).
@@ -297,14 +307,10 @@ def level_layout(model: SystemModel) -> LevelLayout:
     keys, slot = np.unique(top_position[cols] * (size + 1) + rows, return_inverse=True)
     indptr = np.searchsorted(keys, np.arange(size + 2) * (size + 1))
     top = (keys % (size + 1), indptr, slot[:k], slot[k : k + 2 * size], slot[k + 2 * size :])
-    # The idle chain never leaves the theta_max level; a closed class of it
-    # is a strongly connected component with no edge out.
+    # The idle chain never leaves the theta_max level.
     live = model.source_rows[states[tm * size :]].T > 0
     tail, head = np.broadcast_to(diag, live.shape)[live], idle_local[:, tm * size :][live]
-    graph = sp.csr_matrix((np.ones(tail.size), (tail, head)), shape=(size, size))
-    count, label = connected_components(graph, directed=True, connection="strong")
-    leaves = np.bincount(label[tail], label[tail] != label[head], count) == 0
-    top_closed = np.where(leaves[label], np.cumsum(leaves)[label] - 1, -1)
+    top_closed = _closed_classes(sp.csr_matrix((np.ones(tail.size), (tail, head)), (size, size)))
     return LevelLayout(
         order=order.astype(np.int32),
         position=position.astype(np.int32),
@@ -325,9 +331,9 @@ class _LevelFactor:
     """The pinned system M, split as M = M0 - U V^T and solved along the AoI
     levels (``_pinned_lu``).
 
-    M0 keeps the idle part of K and the border, with its pin row spread over
-    the theta_max level (``pin``, positive on every state of the reference
-    class there) instead of set at the reference state.  U V^T holds the
+    M0 keeps the idle part of K and the border, with its pin row spread
+    evenly over the theta_max level (``pin``) instead of set at the
+    reference state.  U V^T holds the
     rest: the success part, G columns with U = diag(p_s q) E and V^T = W S_T
     (``LevelLayout``), and the move of the pin to the reference state, one
     more column.  M0 is block-triangular in the level order, so M0^{-1} is a
@@ -341,11 +347,9 @@ class _LevelFactor:
     ``cap`` the LU of C); each solve is then one sweep and a
     Sherman-Morrison-Woodbury update (Hager, SIAM Review 31(2), 1989).
     ``block`` is the theta_max block itself, kept to refine its solves.
-    ``kernel`` (2n, S) holds K's entries at the layout's ``targets`` and
-    ``send`` p_s q in level order, both zero off a masked class, and
-    ``idle`` (theta_max + 1, n, L) K's idle entries in level order.
-    ``active`` lists the columns of U whose group holds a state of the
-    masked class (None: all).
+    ``kernel`` (2n, S) holds K's entries at the layout's ``targets``,
+    ``send`` p_s q in level order, and ``idle`` (theta_max + 1, n, L) K's
+    idle entries in level order.
     """
 
     model: SystemModel
@@ -356,7 +360,6 @@ class _LevelFactor:
     pin: np.ndarray
     block: sp.csc_matrix
     lu: spla.SuperLU
-    active: np.ndarray | None
     z: np.ndarray | None = None
     cap: tuple | None = None
 
@@ -365,8 +368,8 @@ class _LevelFactor:
         lay = self.layout
         b = np.take(np.reshape(rhs, (lay.order.size, -1)), lay.order, axis=0)
         if trans == "T":
-            if self.z is None:
-                self.close()
+            if self.z is None:  # sweep U alone and close the capacitance
+                self._close(self._swept(np.zeros((lay.order.size, 0))))
             # M^{-T} = M0^{-T} (I + V C^{-T} z^T), as z^T = U^T M0^{-T}.
             self._add_v(b, self._cap_solve(self.z.T @ b, trans=1))
             self._sweep_t(b)
@@ -381,25 +384,13 @@ class _LevelFactor:
             b += self.z @ self._cap_solve(self._vt(b), trans=0)
         return np.take(b, lay.position, axis=0).reshape(np.shape(rhs))
 
-    def matvec(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
-        """M x, or M^T x with trans="T", for one vector in M's own unknowns."""
-        m = self.model
-        targets = self.layout.targets
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x for one vector in M's own unknowns."""
         h = x[:-1]
         out = np.empty(x.size)
-        if trans == "T":
-            out[:-1] = h - np.bincount(targets.ravel(), (self.kernel * h).ravel(), h.size)
-            out[m.ref_index] += x[-1]
-            out[-1] = h.sum()
-        else:
-            out[:-1] = h - (self.kernel * h.take(targets)).sum(axis=0) + x[-1]
-            out[-1] = h[m.ref_index]
+        out[:-1] = h - (self.kernel * h.take(self.layout.targets)).sum(axis=0) + x[-1]
+        out[-1] = h[self.model.ref_index]
         return out
-
-    def close(self) -> None:
-        """Sweep U alone and close the capacitance, which the first solve
-        does otherwise; raises RuntimeError when it is exactly singular."""
-        self._close(self._swept(np.zeros((self.layout.order.size, 0))))
 
     def _swept(self, b: np.ndarray) -> np.ndarray:
         """M0^{-1} [b, U] from one sweep, as one level-order array."""
@@ -429,24 +420,18 @@ class _LevelFactor:
 
     def _close(self, x: np.ndarray) -> None:
         """Keep z = M0^{-1} U, the last columns of ``x``, and the LU of the
-        capacitance over the ``active`` columns."""
+        capacitance."""
         z = x[:, x.shape[1] - self.layout.weights.shape[0] - 1 :]
         cap = -self._vt(z)
         cap.flat[:: cap.shape[0] + 1] += 1.0
-        if self.active is not None:
-            cap = cap[np.ix_(self.active, self.active)]
         lu, piv, info = _GETRF(cap)
         if info > 0:
             raise RuntimeError("capacitance is exactly singular")
         self.z, self.cap = z, (lu, piv)
 
     def _cap_solve(self, r: np.ndarray, trans: int) -> np.ndarray:
-        """C^{-1} r (trans=0) or C^{-T} r (trans=1), zero off ``active``."""
-        if self.active is None:
-            return _GETRS(*self.cap, r, trans=trans)[0]
-        v = np.zeros_like(r)
-        v[self.active] = _GETRS(*self.cap, r[self.active], trans=trans)[0]
-        return v
+        """C^{-1} r (trans=0) or C^{-T} r (trans=1)."""
+        return _GETRS(*self.cap, r, trans=trans)[0]
 
     def _sweep(self, x: np.ndarray) -> None:
         """x <- M0^{-1} x in place: the theta_max block with the gain, then
@@ -479,43 +464,28 @@ class _LevelFactor:
         x[top:] = self.lu.solve(np.take(x[top:], self.layout.top_order, axis=0), trans="T")
 
 
-def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None) -> _LevelFactor:
+def _pinned_lu(model: SystemModel, tx_prob: np.ndarray) -> _LevelFactor:
     """Factor of the pinned system M = [[I - K(q), 1], [e_ref, 0]].
 
     The unknowns are (bias, gain): M [h; g] = [c; 0] is the gain/bias system
     with h = 0 at the model's reference state, and M^T [mu; 0] = [0; 1] is
-    the stationary law.  ``states``, when given, is a closed set of the
-    chain containing the reference state.  K's rows off it are zeroed, so
-    each state off it keeps only its own row h + g = c, which no state of
-    the set reads: the set's equations are those of the restricted chain,
-    and the stationary law is zero off it.  The system keeps its full size.
-    Only the theta_max block with its border, one numeric fill of the
-    model's ``level_layout`` pattern, goes to SuperLU; the rest is solved
-    along the levels (``_LevelFactor``).  Raises RuntimeError when M is
-    exactly singular, and without ``states`` when two closed classes of the
-    theta_max level's idle chain (``LevelLayout.top_closed``) hold no
-    transmitting state: they are closed classes of K(q) too, and both
-    that block and M are singular.
+    the stationary law.  Only the theta_max block with its border, one
+    numeric fill of the model's ``level_layout`` pattern, goes to SuperLU;
+    the rest is solved along the levels (``_LevelFactor``).  Raises
+    RuntimeError when M is exactly singular, and when two closed classes of
+    the theta_max level's idle chain (``LevelLayout.top_closed``) hold no
+    transmitting state: they are closed classes of K(q) too, and both that
+    block and M are singular.
     """
     lay = model.level_layout
     n, size = model.n_states, lay.idle_local.shape[2]
-    if states is None:
-        sends = np.asarray(tx_prob)[lay.order[-size - 1 : -1]] > 0
-        quiet = np.bincount(lay.top_closed + 1, sends, lay.top_closed.max() + 2)[1:] == 0
-        if np.count_nonzero(quiet) >= 2:
-            raise RuntimeError("two closed classes at theta_max never transmit")
+    sends = np.asarray(tx_prob)[lay.order[-size - 1 : -1]] > 0
+    quiet = np.bincount(lay.top_closed + 1, sends, lay.top_closed.max() + 2)[1:] == 0
+    if np.count_nonzero(quiet) >= 2:
+        raise RuntimeError("two closed classes at theta_max never transmit")
     kernel = _kernel_values(model, tx_prob)
     send = model.p_s * np.asarray(tx_prob, dtype=float)[lay.order[:-1]]
     pin = np.full(size, 1.0 / size)
-    active = None
-    if states is not None:
-        keep = np.zeros(kernel.shape[1], dtype=bool)
-        keep[states] = True
-        kernel[:, ~keep] = 0.0
-        inside = keep[lay.order[:-1]]
-        send *= inside
-        pin = inside[-size:] / np.count_nonzero(inside[-size:])
-        active = np.flatnonzero(np.append(np.bincount(lay.group, inside) > 0, True))
     idle = kernel[:n].take(lay.order[:-1], axis=1).reshape(n, -1, size).transpose(1, 0, 2)
     indices, indptr, k_slot, unit_slot, pin_slot = lay.top
     data = -np.bincount(k_slot, idle[-1].ravel(), indices.size)
@@ -523,29 +493,37 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray, states=None) -> _LevelFa
     data[pin_slot] = pin
     block = sp.csc_matrix((data, indices, indptr), shape=(size + 1, size + 1))
     lu = spla.splu(block, permc_spec="NATURAL", relax=1, panel_size=1)
-    return _LevelFactor(model, lay, kernel, idle, send, pin, block, lu, active)
+    return _LevelFactor(model, lay, kernel, idle, send, pin, block, lu)
 
 
-def _class_lu(model: SystemModel, tx_prob: np.ndarray):
-    """K(q), the set reachable from the reference state, and the factor of
-    the pinned system masked to that set (``_pinned_lu``), its capacitance
-    closed.  Raises ConvergenceFailure when that system is exactly singular.
+def _class_systems(model: SystemModel, kernel: sp.csr_matrix):
+    """K(q), given as ``kernel``, cut into its closed classes
+    (``_closed_classes``) and transient states T, by plain sparse LU.
 
-    The set is closed, but it is one class only when the reference state
-    is recurrent.  When the reference state is transient, the set can hold
-    two closed classes (a policy that never transmits at two contents of
-    the theta_max level, say), the masked system is singular too, and the
-    factor returns one of its many solutions instead of raising; the
-    caller's residual check is what accepts or refuses it.
-    """
-    kernel = induced_kernel(model, tx_prob)
-    reach = reachable_set(kernel, model.ref_index)
-    try:
-        factor = _pinned_lu(model, tx_prob, reach)
-        factor.close()
-    except RuntimeError as exc:  # exactly singular
-        raise ConvergenceFailure(f"class of the reference state is not unichain: {exc}") from exc
-    return kernel, reach, factor
+    Returns (members, lus, laws, transient, absorb, lu_t).  ``lus[c]``
+    factors class c's M = [[I - K_cc, 1], [e_pin, 0]], pinned at the
+    reference state if the class holds it, else at its lowest state;
+    M [h; g] = [c; 0] is its bias and gain, M^T [mu; 0] = [0; 1] its law
+    ``laws[c]``.  ``absorb`` (S, classes) holds the chances of ending in
+    each class, A_T = (I - K_TT)^{-1} K_TR A_R; ``lu_t`` factors I - K_TT
+    (None without T).  Raises RuntimeError on a singular system."""
+    label = _closed_classes(kernel)
+    members = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
+    lus, laws = [], []
+    for states in members:
+        k, pin = states.size, int(np.argmax(states == model.ref_index))  # 0 without it
+        k_cc = kernel[states][:, states]
+        block = [[sp.eye(k) - k_cc, np.ones((k, 1))], [np.eye(1, k, pin), None]]
+        lus.append(spla.splu(sp.bmat(block, format="csc")))
+        laws.append(lus[-1].solve(np.eye(1, k + 1, k)[0], trans="T")[:-1])
+    transient = np.flatnonzero(label < 0)
+    absorb = (label[:, None] == np.arange(len(members))).astype(float)
+    lu_t = None
+    if transient.size:
+        k_t = kernel[transient]
+        lu_t = spla.splu(sp.csc_matrix(sp.eye(transient.size) - k_t[:, transient]))
+        absorb[transient] = lu_t.solve(k_t @ absorb)
+    return members, lus, laws, transient, absorb, lu_t
 
 
 def reachable_set(kernel: sp.csr_matrix, start: int) -> np.ndarray:
@@ -582,9 +560,9 @@ def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float)
     bias at lam are J + lam * F and h_err + lam * h_tx, the formula
     ``_repriced`` applies at any other price.  When that system is singular
     or the residual of (gain, bias) exceeds RESIDUAL_TOL (a policy whose
-    chain splits into closed classes with unequal gains), the system is
-    solved on the class of the reference state instead and the other states
-    are relaxed against its gain.
+    chain splits into closed classes with unequal gains), the policy is
+    evaluated class by class instead (``_class_solve``), which meets
+    RESIDUAL_TOL or raises ConvergenceFailure.
     """
     _check_actions(model, policy.actions)
     return _evaluate(model, policy.actions.astype(float), _stage_costs(model, policy.actions), lam)
@@ -600,13 +578,13 @@ def _evaluate(model, q, costs, lam, split=False) -> GainBias:
         factor = _pinned_lu(model, q)
         sol = factor.solve(rhs)
     except RuntimeError:  # singular
-        return _evaluate_on_class(model, q, lam, costs, split)
+        return _class_solve(model, q, lam, costs, split)
     sol[:-1] -= sol[model.ref_index]  # h = 0 at ref exactly; K's rows sum to one
     priced = sol[:, 0] + lam * sol[:, 1]  # (bias, gain) at lam
     checked = zip(sol.T, rhs.T) if split else [(priced, rhs[:, 0] + lam * rhs[:, 1])]
     resid = max(float(np.abs(factor.matvec(x) - b).max()) for x, b in checked)
     if not resid <= RESIDUAL_TOL:
-        return _evaluate_on_class(model, q, lam, costs, split)
+        return _class_solve(model, q, lam, costs, split)
     j, f = sol[-1]
     return GainBias(
         gain=float(priced[-1]), bias=priced[:-1], lam=lam, j_component=float(j),
@@ -614,42 +592,43 @@ def _evaluate(model, q, costs, lam, split=False) -> GainBias:
     )
 
 
-def _evaluate_on_class(model, q, lam, costs, split=False) -> GainBias:
-    """Evaluation of a policy whose chain has several closed classes.
+def _class_solve(model, q, lam, costs, split=False) -> GainBias:
+    """``_evaluate`` of a policy with several closed classes, class by class
+    (multichain policy evaluation, Puterman 1994, ch. 8-9).
 
-    Solves exactly on the class of the reference state and relaxes the
-    remaining states against that gain (best effort; their actions get
-    corrected by subsequent improvement steps).  The reported residual
-    covers all states, and with ``split`` both columns (error, tx), each
-    relaxed on its own.  The relaxed bias holds at lam alone, so no
-    ``parts`` are kept and the result is never re-priced.
+    Each closed class solves its own system (``_class_systems``), its bias
+    moved to zero mean under its law, as the policy's bias is (P* h = 0):
+    the offset between classes, read by SPI where their gains tie
+    (``_preferred``), then owes nothing to the pins.  Transient states get
+    g_T = (I - K_TT)^{-1} K_TR g_R and h_T = (I - K_TT)^{-1} (c_T - g_T +
+    K_TR h_R), both cost rows at once; a constant zeroes h at the reference
+    state, whose gains are J and F.  Raises ConvergenceFailure on a singular
+    system or when max(|g - Kg|, |g + h - c - Kh|), at lam or per column
+    with ``split``, exceeds RESIDUAL_TOL.  No ``parts``: never re-priced.
     """
-    kernel, reach, factor = _class_lu(model, q)
-    sol = factor.solve(np.vstack([costs.T, np.zeros((1, 2))]))
-    if not np.all(np.isfinite(sol)):
-        raise ConvergenceFailure("class-restricted evaluation returned non-finite values")
-    sol[:-1] -= sol[model.ref_index]  # the class's rows of K sum to one
-    j, f = sol[-1]
-    if split:
-        gain, cost, bias = sol[-1], costs.T, sol[:-1]
-    else:
-        gain, cost, bias = j + lam * f, costs[0] + lam * costs[1], sol[:-1, 0] + lam * sol[:-1, 1]
-    off = np.setdiff1d(np.arange(model.num_mdp_states), reach, assume_unique=True)
-    if off.size:
-        bias[off] = 0.0
-        k_off = kernel[off]
-        for _ in range(2000):
-            new_off = cost[off] - gain + k_off @ bias
-            delta = np.abs(new_off - bias[off]).max()
-            bias[off] = new_off
-            if delta < 1e-10:
-                break
-    resid = float(np.abs(gain + bias - cost - kernel @ bias).max())
-    if split:
-        gain, bias = j + lam * f, bias[:, 0] + lam * bias[:, 1]
+    kernel = induced_kernel(model, q)
+    try:
+        members, lus, laws, t, absorb, lu_t = _class_systems(model, kernel)
+    except RuntimeError as exc:  # exactly singular
+        raise ConvergenceFailure(f"class-by-class evaluation failed: {exc}") from exc
+    cost = costs.T
+    gain, bias = np.zeros((len(lus), 2)), np.zeros_like(cost)
+    for c, (states, lu, law) in enumerate(zip(members, lus, laws)):
+        sol = lu.solve(np.vstack([cost[states], np.zeros((1, 2))]))
+        bias[states], gain[c] = sol[:-1] - law @ sol[:-1], sol[-1]
+    gain = absorb @ gain
+    if t.size:
+        bias[t] = lu_t.solve(cost[t] - gain[t] + kernel[t] @ bias)
+    bias -= bias[model.ref_index]
+    price = np.array([1.0, lam])
+    g, h, cost = (gain, bias, cost) if split else (gain @ price, bias @ price, cost @ price)
+    resid = max(np.abs(g - kernel @ g).max(), np.abs(g + h - cost - kernel @ h).max())
+    if not resid <= RESIDUAL_TOL:
+        raise ConvergenceFailure(f"class-by-class evaluation has residual {resid:.2e}")
+    j, f = gain[model.ref_index]
     return GainBias(
-        gain=float(gain), bias=bias, lam=lam, j_component=float(j),
-        f_component=float(f), residual=resid, method="class-solve",
+        gain=float(j + lam * f), bias=bias @ price, lam=lam, j_component=float(j),
+        f_component=float(f), residual=float(resid), method="class-solve", gains=gain @ price,
     )
 
 
@@ -703,20 +682,30 @@ def _tie_tol(d: np.ndarray) -> float:
     return TIE_TOL * max(1.0, float(np.abs(d).max()))
 
 
-def _structured_improvement(model: SystemModel, d: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
-    """One structured improvement pass on the Q-factor difference d = transmit
-    - idle: ascend the error-age axis per triple, switch to transmit at the
-    first improving age, keep transmit above it.
-
-    Ties fall back to the incumbent action to prevent policy cycling
-    (``_tie_tol``).  Each (x, z, theta) triple is one row of the (triples,
-    delta_max + 1) reshape; returns the new action table.
-    """
-    dm = model.delta_max
+def _preferred(model: SystemModel, gb: GainBias, d: np.ndarray, incumbent) -> np.ndarray:
+    """Where transmitting beats idling under ``gb``, from the Q-factor
+    difference d = transmit - idle.  With ``gb.gains`` (several closed
+    classes) the expected next gain decides first, as in multichain policy
+    iteration (Puterman 1994, section 9.2), and d only where gains tie,
+    within RESIDUAL_TOL max(1, max|g|), the accuracy the class route checks.
+    d ties within ``_tie_tol``; a tie keeps the incumbent action."""
     tol = _tie_tol(d)
-    d = _by_triple(model, d)
-    inc = _by_triple(model, incumbent) == 1
-    prefer = np.where(d < -tol, True, np.where(d > tol, False, inc))
+    prefer = np.where(np.abs(d) > tol, d < 0, incumbent == 1)
+    if gb.gains is not None:
+        dg = model.p_s * (model.ev_success(gb.gains) - model.ev_idle(gb.gains))
+        band = RESIDUAL_TOL * max(1.0, float(np.abs(gb.gains).max()))
+        prefer = np.where(np.abs(dg) > band, dg < 0, prefer)
+    return prefer
+
+
+def _structured_improvement(model: SystemModel, prefer: np.ndarray) -> np.ndarray:
+    """One structured improvement pass on where transmitting improves on
+    idling (``_preferred``): ascend the error-age axis per triple, switch to
+    transmit at the first improving age, keep transmit above it.  Each (x,
+    z, theta) triple is one row of the (triples, delta_max + 1) reshape;
+    returns the new action table."""
+    dm = model.delta_max
+    prefer = _by_triple(model, prefer)
     # Same-error triples transmit from the first preferred age below the
     # truncation corner on; the corner alone never sets the threshold.
     ramp = np.logical_or.accumulate(prefer[:, np.minimum(np.arange(dm + 1), dm - 1)], axis=1)
@@ -754,11 +743,11 @@ def spi_solve(
     """
     _check_price(lam)
     store = MappingProxyType({}) if _store is None else _store
-    actions = (policy0 if policy0 is not None else reactive_policy(model)).actions.copy()
+    actions = (policy0 if policy0 is not None else reactive_policy(model)).actions
     for _ in range(SPI_MAX_PASSES):
         policy = DeterministicPolicy(actions)
         gb, q0, q1 = _evaluation(model, policy, lam, store)
-        new_actions = _structured_improvement(model, q1 - q0, actions)
+        new_actions = _structured_improvement(model, _preferred(model, gb, q1 - q0, actions))
         if np.array_equal(new_actions, actions):
             return policy, gb, ThresholdView.from_policy(model, policy) if _view else None
         actions = new_actions

@@ -10,6 +10,7 @@ from remest import (
     DeterministicPolicy,
     InfeasiblePairError,
     MixturePolicy,
+    SystemConfig,
     bisection_solve,
     build_mixture,
     check_switching_structure,
@@ -284,6 +285,24 @@ def test_delayed_budget_at_delta_max_two(main_config):
     assert check_switching_structure(sol.policy.policy_plus, model) == []
 
 
+def test_sides_of_lambda_star_start_from_their_bracket_ends(main_config):
+    # The 5-state chain of the benchmark's price-sweep-large workload at
+    # truncation 30.  At lambda* = 40.074 the largest |Q-difference| is
+    # about 1.75e7, so the relative tie band (1.75e-5) holds the switching
+    # states at both lambda* -/+ eps: from one warm start both solves gave
+    # F = 0.099910 and the pair raised InfeasiblePairError.
+    rng = np.random.default_rng(0)
+    rows = rng.dirichlet(np.full(5, 0.8), size=5) + 2.0 * np.eye(5)
+    doc = main_config.with_overrides(theta_max=30, delta_max=30).to_dict()
+    doc.update(alphabet_size=5, transition=(rows / rows.sum(axis=1, keepdims=True)).tolist())
+    model = SystemConfig.from_dict(doc).build_model(timing="immediate")
+    sol = solve_cmdp(model, 0.1)
+    assert sol.kind == "mixture"
+    assert abs(sol.lam_star - 40.07399) <= 1e-4
+    assert abs(sol.F - 0.1) <= 1e-6
+    assert abs(stationary_metrics(model, sol.policy).F - 0.1) <= 1e-6
+
+
 @pytest.mark.parametrize("fixture", ["main_model", "zoh_model", "paper_model", "paper_zoh_model"])
 def test_budget_above_reactive_frequency_is_free(fixture, request, solved_main):
     # Budgets above the reactive policy's F (0.3441 and 0.3174 under the
@@ -364,15 +383,12 @@ def test_one_state_pair_settles_in_two_evaluations(fixture, request, monkeypatch
 class TestCalibrationFallback:
     def test_class_route_rates_are_checked(self, main_model, solved_main, monkeypatch):
         # The full-space solve refuses every mixture, so each one goes to the
-        # class route; its rates must still be the stationary ones.
-        pinned = remest.solver._pinned_lu
+        # class route; its rates must still be the stationary ones, which
+        # the full-space solve gives once it is back.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("refused")
 
-        def refuse_unmasked(model, tx_prob, states=None):
-            if states is None:
-                raise RuntimeError("refused")
-            return pinned(model, tx_prob, states)
-
-        on_class = remest.solver._evaluate_on_class
+        on_class = remest.solver._class_solve
         routes = []
 
         def class_route(*args, **kwargs):
@@ -382,10 +398,11 @@ class TestCalibrationFallback:
 
         sol = solved_main(main_model, 0.1)
         pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
-        monkeypatch.setattr(remest.solver, "_pinned_lu", refuse_unmasked)
-        monkeypatch.setattr(remest.solver, "_evaluate_on_class", class_route)
+        monkeypatch.setattr(remest.solver, "_pinned_lu", refuse)
+        monkeypatch.setattr(remest.solver, "_class_solve", class_route)
         mix = build_mixture(main_model, pm, pp, 0.1)
         assert len(routes) >= 2 and max(routes) <= 1e-8
+        monkeypatch.undo()
         met = stationary_metrics(main_model, mix)
         f, j = mix._rates
         assert abs(f - met.F) <= 1e-10 and abs(j - met.J) <= 1e-10
@@ -398,6 +415,7 @@ class TestCalibrationFallback:
         sol = solved_main(main_model, 0.1)
         pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
         monkeypatch.setattr(remest.solver, "_pinned_lu", refuse)
+        monkeypatch.setattr(remest.solver, "_class_systems", refuse)
         with pytest.raises(ConvergenceFailure):
             build_mixture(main_model, pm, pp, 0.1, f_minus=0.2, f_plus=0.05)
 

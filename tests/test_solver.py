@@ -30,7 +30,7 @@ from remest import (
 )
 import remest.solver
 from remest.evaluation import STATIONARY_TOL
-from remest.solver import RESIDUAL_TOL, _class_lu, _pinned_lu, _repriced, induced_kernel, reachable_set
+from remest.solver import RESIDUAL_TOL, _pinned_lu, _repriced, induced_kernel, reachable_set
 from conftest import LAMBDA_GRID, MAIN_ROWS, main_age_function, small_random_model
 
 
@@ -436,11 +436,10 @@ def test_non_finite_price_rejected(main_model, lam):
             solve_cmdp(main_model, 0.1, lambda_max=lam)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceFailure,
-                   reason="the class route's off-class relaxation makes SPI cycle")
 def test_spi_settles_on_the_cycling_chain(monkeypatch):
-    # SPI alternates between two "class-solve" policies of equal gain from
-    # the third pass on; 20 passes show it as well as the default 500.
+    # SPI once alternated here between two "class-solve" policies of equal
+    # gain from the third pass on; 20 passes show it as well as the default
+    # 500.
     monkeypatch.setattr("remest.solver.SPI_MAX_PASSES", 20)
     model = build_model(
         validate_chain([[0.2, 0.7, 0.1], [0.1, 0.2, 0.7], [0.7, 0.1, 0.2]]), 0.7, "hamming",
@@ -449,11 +448,10 @@ def test_spi_settles_on_the_cycling_chain(monkeypatch):
     spi_solve(model, 20.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 5: the class "
-                   "route's off-class relaxation is returned with its residual unchecked")
 @pytest.mark.parametrize("timing", ["immediate", "delayed"])
 def test_never_transmit_on_zoh_config_meets_residual_tol(timing):
-    # Today: "class-solve" with residual 8.8e3 (immediate) and 8.6e2 (delayed).
+    # A relaxation of the off-class bias once left residuals 8.8e3
+    # (immediate) and 8.6e2 (delayed) here.
     model = SystemConfig.from_file("configs/three_state_zoh.json").build_model(timing=timing)
     gb = policy_evaluate(model, never_transmit_policy(model), 0.0)
     assert gb.residual <= RESIDUAL_TOL
@@ -526,11 +524,10 @@ def test_threshold_view_matches_loop_reference(fixture, request):
             assert view.reconstruct(model).same_as(policy)
 
 
-def coo_pinned_matrix(model, tx_prob, states=None):
+def coo_pinned_matrix(model, tx_prob):
     """Reference assembly of M through COO, one matrix at a time, columns in
     the natural order: K(q)'s nonzero triplets gathered from the targets,
-    only the rows of ``states`` when given, then the identity and the
-    border."""
+    then the identity and the border."""
     s_count, n = model.idle_targets.shape
     w = model.p_s * np.asarray(tx_prob, dtype=float)
     rows = np.tile(np.repeat(np.arange(s_count), n), 2)
@@ -540,9 +537,6 @@ def coo_pinned_matrix(model, tx_prob, states=None):
     )
     keep = probs != 0.0
     rows, cols, probs = rows[keep], cols[keep], probs[keep]
-    if states is not None:
-        keep = np.isin(rows, states)
-        rows, cols, probs = rows[keep], cols[keep], probs[keep]
     m = s_count
     diag = np.arange(m)
     return sp.csc_matrix(
@@ -578,24 +572,22 @@ def test_level_solve_matches_coo_reference(fixture, request, solved_main):
     solved = []
     for q in cases:
         q = np.asarray(q, dtype=float)
-        reach = reachable_set(induced_kernel(model, q), model.ref_index)
-        for states in (None, reach):
-            if states is None and not q.any():
-                # Never transmitting splits the chain into closed classes
-                # with unequal gains: M is singular.
-                with pytest.raises(RuntimeError):
-                    _pinned_lu(model, q)
-                continue
-            factor = _pinned_lu(model, q, states)
-            matrix = coo_pinned_matrix(model, q, states)
-            expected = spla.spsolve(matrix, rhs)
-            expected_mu = spla.spsolve(matrix.T.tocsc(), unit)
-            got = factor.solve(rhs)
-            got_mu = factor.solve(unit, trans="T")
-            # Biases reach 1e5 on these models: compare against the largest.
-            assert np.abs(got - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
-            assert np.abs(got_mu - expected_mu).max() <= 1e-12
-            solved.append((factor, got, got_mu))
+        if not q.any():
+            # Never transmitting splits the chain into closed classes with
+            # unequal gains: M is singular.
+            with pytest.raises(RuntimeError):
+                _pinned_lu(model, q)
+            continue
+        factor = _pinned_lu(model, q)
+        matrix = coo_pinned_matrix(model, q)
+        expected = spla.spsolve(matrix, rhs)
+        expected_mu = spla.spsolve(matrix.T.tocsc(), unit)
+        got = factor.solve(rhs)
+        got_mu = factor.solve(unit, trans="T")
+        # Biases reach 1e5 on these models: compare against the largest.
+        assert np.abs(got - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
+        assert np.abs(got_mu - expected_mu).max() <= 1e-12
+        solved.append((factor, got, got_mu))
     # The layout is shared: later factors must leave earlier ones alone.
     for factor, got, got_mu in solved:
         assert np.abs(factor.solve(rhs) - got).max() <= 1e-9 * max(1.0, np.abs(got).max())
@@ -694,27 +686,18 @@ def test_grouped_deliveries_are_the_success_kernel(name):
     layout = model.level_layout
     s_count, order = model.num_mdp_states, model.level_layout.order[:-1]
     rng = np.random.default_rng(7)
-    for q in (reactive_policy(model).actions, rng.uniform(0.0, 1.0, s_count), np.zeros(s_count)):
+    for q in (reactive_policy(model).actions, rng.uniform(0.0, 1.0, s_count)):
         q = np.asarray(q, dtype=float)
-        reach = reachable_set(induced_kernel(model, q), model.ref_index)
-        for states in (None, reach) if q.any() else (reach,):
-            factor = _pinned_lu(model, q, states)
-            # U V^T from the layout: U = diag(p_s q) E, V^T = W S_T.
-            u = np.zeros((s_count, layout.weights.shape[0]))
-            u[order, layout.group] = factor.send
-            uvt = np.zeros((s_count, s_count))
-            uvt[:, order[layout.resets]] = u @ layout.weights
-            w = model.p_s * q
-            if states is not None:
-                w[np.setdiff1d(np.arange(s_count), states)] = 0.0
-            succ = np.zeros((s_count, s_count))
-            rows = np.arange(s_count)[:, None]
-            np.add.at(succ, (rows, model.succ_targets), w[:, None] * model.source_rows)
-            assert np.abs(uvt - succ).max() <= 1e-15
-            if states is not None:
-                inside = layout.group[np.isin(order, states)]
-                held = np.isin(np.arange(layout.weights.shape[0]), inside)
-                assert np.array_equal(factor.active, np.flatnonzero(np.append(held, True)))
+        factor = _pinned_lu(model, q)
+        # U V^T from the layout: U = diag(p_s q) E, V^T = W S_T.
+        u = np.zeros((s_count, layout.weights.shape[0]))
+        u[order, layout.group] = factor.send
+        uvt = np.zeros((s_count, s_count))
+        uvt[:, order[layout.resets]] = u @ layout.weights
+        succ = np.zeros((s_count, s_count))
+        rows = np.arange(s_count)[:, None]
+        np.add.at(succ, (rows, model.succ_targets), (model.p_s * q)[:, None] * model.source_rows)
+        assert np.abs(uvt - succ).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name", list(CROSS_CHAINS))
@@ -754,18 +737,106 @@ def test_class_route_still_taken_at_high_price(main_config):
     assert gb.residual <= RESIDUAL_TOL
 
 
+def dense_kernel(model, tx_prob):
+    """K(q) as a dense matrix, built entry by entry from the targets."""
+    s_count, n = model.idle_targets.shape
+    w = model.p_s * np.asarray(tx_prob, dtype=float)
+    kernel = np.zeros((s_count, s_count))
+    for s in range(s_count):
+        for k in range(n):
+            kernel[s, model.idle_targets[s, k]] += (1.0 - w[s]) * model.source_rows[s, k]
+            kernel[s, model.succ_targets[s, k]] += w[s] * model.source_rows[s, k]
+    return kernel
+
+
+def dense_closed_classes(kernel):
+    """The closed classes of a dense kernel, each a sorted index array."""
+    support = sp.csr_matrix(kernel > 0)
+    count, label = connected_components(support, directed=True, connection="strong")
+    return [
+        np.flatnonzero(label == c)
+        for c in range(count)
+        if (label[support[label == c].indices] == c).all()
+    ]
+
+
+def dense_multichain_solution(model, actions, lam):
+    """Dense multichain oracle: each closed class of K solved on its own by
+    numpy.linalg.solve, then the transient block, g_T = (I - K_TT)^{-1}
+    K_TR g_R and h_T = (I - K_TT)^{-1} (c_T - g_T + K_TR h_R).  Each class's
+    bias has zero mean under its stationary law, and the whole bias is then
+    shifted to zero at the reference state.  Returns the per-state gains and
+    biases (S, 3) of the cost rows (lam-cost, error cost, transmit
+    indicator) and the closed classes."""
+    kernel = dense_kernel(model, actions)
+    a = actions.astype(bool)
+    err = np.where(a, model.tx_cost, model.idle_cost)
+    costs = np.column_stack([err + lam * a, err, a.astype(float)])
+    gains, bias = np.zeros_like(costs), np.zeros_like(costs)
+    closed = dense_closed_classes(kernel)
+    recurrent = np.zeros(model.num_mdp_states, dtype=bool)
+    for members in closed:
+        m = members.size
+        k = kernel[np.ix_(members, members)]
+        system = np.zeros((m + 1, m + 1))
+        system[:m, :m] = np.eye(m) - k
+        system[:m, m] = 1.0
+        system[m, 0] = 1.0
+        sol = np.linalg.solve(system, np.vstack([costs[members], np.zeros(3)]))
+        balance = k.T - np.eye(m)
+        balance[-1] = 1.0
+        law = np.linalg.solve(balance, np.eye(m)[-1])
+        gains[members], bias[members] = sol[-1], sol[:-1] - law @ sol[:-1]
+        recurrent[members] = True
+    t = ~recurrent
+    k_tr = kernel[t][:, recurrent]
+    lhs = np.eye(np.count_nonzero(t)) - kernel[np.ix_(t, t)]
+    gains[t] = np.linalg.solve(lhs, k_tr @ gains[recurrent])
+    bias[t] = np.linalg.solve(lhs, costs[t] - gains[t] + k_tr @ bias[recurrent])
+    return gains, bias - bias[model.ref_index], closed
+
+
+@pytest.mark.parametrize("timing", ["immediate", "delayed"])
+def test_two_transmitting_classes_match_dense_multichain(main_config, timing):
+    # Transmitting iff x = z and z is 0 or 1 leaves three closed classes,
+    # two of them transmitting: not every class can be read from the
+    # theta_max level's idle chain.
+    model = main_config.with_overrides(theta_max=6, delta_max=6).build_model(timing=timing)
+    actions = ((model.x_of == model.z_of) & (model.z_of <= 1)).astype(np.uint8)
+    gb = policy_evaluate(model, DeterministicPolicy(actions), 2.0)
+    gains, bias, closed = dense_multichain_solution(model, actions, 2.0)
+    assert len(closed) == 3
+    assert sorted(bool(actions[c].any()) for c in closed) == [False, True, True]
+    assert gb.method == "class-solve" and gb.residual <= RESIDUAL_TOL
+    assert np.unique(np.round(gains[:, 0], 6)).size >= 2
+    assert np.abs(gb.gains - gains[:, 0]).max() <= 1e-10
+    ref = model.ref_index
+    assert abs(gb.gain - gains[ref, 0]) <= 1e-10
+    assert abs(gb.j_component - gains[ref, 1]) <= 1e-10
+    assert abs(gb.f_component - gains[ref, 2]) <= 1e-10
+    assert gb.bias[ref] == 0.0
+    assert np.abs(gb.bias - bias[:, 0]).max() <= 1e-10 * max(1.0, np.abs(bias[:, 0]).max())
+
+
+@pytest.mark.parametrize("lam", [20.0, 30.0, 50.0])
+def test_spi_matches_rvi_on_the_cycling_chain(lam):
+    model = cross_model("cycle")
+    _, gb, _ = spi_solve(model, lam)
+    assert gb.method == "class-solve"
+    assert abs(gb.gain - rvi_solve(model, lam)[1].gain) <= 1e-8
+
+
 def test_class_set_with_two_closed_classes(main_config):
     # The reactive policy cut to content 0 never transmits at contents 1
     # and 2.  The reference state (content 0) is then transient, and the
     # set reachable from it holds two closed classes, contents 1 and 2 at
-    # theta_max.  The masked system is singular; the factor still returns
-    # a solution of the balance equations instead of raising.
+    # theta_max.  The law started from the reference state is each class's
+    # law weighted by the probability of ending in that class.
     model = main_config.with_overrides(delta_max=2).build_model(timing="delayed")
     q = (reactive_policy(model).actions * (model.z_of == 0)).astype(float)
-    kernel, reach, factor = _class_lu(model, q)
-    sub = kernel[reach][:, reach]
-    count, label = connected_components(sub, directed=True, connection="strong")
-    closed = [reach[label == c] for c in range(count) if (label[sub[label == c].indices] == c).all()]
+    kernel = dense_kernel(model, q)
+    reach = reachable_set(induced_kernel(model, q), model.ref_index)
+    closed = [c for c in dense_closed_classes(kernel) if np.isin(c, reach).all()]
     assert sorted(int(model.z_of[c[0]]) for c in closed) == [1, 2]
     for members in closed:
         assert members.size == 5
@@ -773,10 +844,37 @@ def test_class_set_with_two_closed_classes(main_config):
         assert np.unique(model.z_of[members]).size == 1
         assert not q[members].any()
         assert model.ref_index not in members
-    rhs = np.zeros(model.num_mdp_states + 1)
-    rhs[-1] = 1.0
-    sol = factor.solve(rhs, trans="T")
-    assert np.abs(factor.matvec(sol, trans="T") - rhs).max() <= STATIONARY_TOL
+    met = stationary_metrics(model, DeterministicPolicy(q.astype(np.uint8)))
+    assert np.array_equal(met.reachable, reach)
+    # Absorption probabilities from the transient states, dense.
+    recurrent = np.zeros(model.num_mdp_states, dtype=bool)
+    for members in dense_closed_classes(kernel):
+        recurrent[members] = True
+    t = np.flatnonzero(~recurrent)
+    k_tt = kernel[np.ix_(t, t)]
+    into = np.column_stack([kernel[t][:, c].sum(axis=1) for c in closed])
+    absorb = np.linalg.solve(np.eye(t.size) - k_tt, into)[np.searchsorted(t, model.ref_index)]
+    assert (absorb > 0.0).all() and abs(absorb.sum() - 1.0) <= 1e-12
+    expected = np.zeros(model.num_mdp_states)
+    for members, weight in zip(closed, absorb):
+        k = kernel[np.ix_(members, members)]
+        balance = k.T - np.eye(members.size)
+        balance[-1] = 1.0
+        expected[members] = weight * np.linalg.solve(balance, np.eye(members.size)[-1])
+        # Balance on each class.
+        mu = met.mu[members]
+        assert np.abs(mu @ k - mu).max() <= STATIONARY_TOL
+    assert np.abs(met.mu - expected).max() <= 1e-10
+    assert abs(met.F - expected @ q) <= 1e-10
+
+
+def test_policy_copies_the_callers_table():
+    a = np.zeros(4, np.uint8)
+    policy = DeterministicPolicy(a)
+    a[0] = 1
+    assert a.flags.writeable
+    assert not policy.actions.any()
+    assert not policy.actions.flags.writeable
 
 
 @pytest.mark.parametrize("timing", ["immediate", "delayed"])
@@ -817,9 +915,9 @@ def count_factors(monkeypatch):
     factored = []
     pinned_lu = remest.solver._pinned_lu
 
-    def counted(model, tx_prob, states=None):
+    def counted(model, tx_prob):
         factored.append(np.array(tx_prob))
-        return pinned_lu(model, tx_prob, states)
+        return pinned_lu(model, tx_prob)
 
     monkeypatch.setattr(remest.solver, "_pinned_lu", counted)
     return factored
