@@ -14,7 +14,10 @@ timing, with the route taken, gain, J and F.  Each model also carries a
 kernel section: the sha256 of its ``idle_targets``, ``succ_targets``,
 ``idle_cost``, ``tx_cost`` and ``idle_pinned`` arrays and of K(q) at q = 0
 and q = 1 (``solver._kernel_values``), so a change to how the model is built
-shows even where no solve moves.
+shows even where no solve moves.  A simulate section holds every
+``SimReport`` field of ``simulate`` on the MAP model under both timings, for
+the f = 0.1 mixture and the ``spi_solve`` policy at price 100, seeds 7 and
+20240901, 200 017 slots.
 
     python scripts/results_digest.py --out new.json
     PYTHONPATH=/path/to/other/checkout/src python scripts/results_digest.py --out old.json
@@ -22,7 +25,8 @@ shows even where no solve moves.
 
 ``--compare`` lists the action tables and fields that differ and the largest
 |delta| of the numbers; it exits 1 on any table, kind or error difference or
-on any |delta| above 1e-10, and 0 otherwise.
+on any |delta| above 1e-10 (on any difference at all in the simulate
+section, NaN equal to NaN), and 0 otherwise.
 """
 
 import argparse
@@ -33,6 +37,8 @@ import sys
 
 PRICES = [0.5 * i for i in range(41)]
 BUDGETS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+SIM_SEEDS = (7, 20240901)
+SIM_HORIZON = 200_017
 TOLERANCE = 1e-10
 
 
@@ -55,6 +61,7 @@ def digest(config_path: str) -> dict:
         SystemConfig,
         never_transmit_policy,
         policy_evaluate,
+        simulate,
         solve_cmdp,
         spi_solve,
         stationary_metrics,
@@ -63,7 +70,7 @@ def digest(config_path: str) -> dict:
     from remest.solver import _kernel_values
 
     config = SystemConfig.from_file(config_path)
-    points, sweep, budgets, kernel = {}, {}, {}, {}
+    points, sweep, budgets, kernel, sims = {}, {}, {}, {}, {}
     for label, model in _models(config):
         kernel[label] = {
             f"{name}_sha256": _sha256(getattr(model, name))
@@ -116,6 +123,12 @@ def digest(config_path: str) -> dict:
                 "stationary_J": met.J,
                 "stationary_F": met.F,
             }
+            if f_max == 0.10 and label.startswith("map/"):
+                policies = {"f=0.1": sol.policy, "lam=100": spi_solve(model, 100.0)[0]}
+                for name, policy in policies.items():
+                    for seed in SIM_SEEDS:
+                        report = simulate(model, policy, SIM_HORIZON, seed)
+                        sims[f"{label}/{name}/seed={seed}"] = report.as_dict()
     model = config.with_overrides(delta_max=2).build_model(timing="delayed")
     gb = policy_evaluate(model, never_transmit_policy(model), 1000.0)
     route = {
@@ -132,6 +145,7 @@ def digest(config_path: str) -> dict:
         "budgets": budgets,
         "class_route": route,
         "kernel": kernel,
+        "simulate": sims,
     }
 
 
@@ -139,8 +153,9 @@ def compare(old: dict, new: dict) -> int:
     """Print the differences of two digests; return the exit code."""
     failed = False
     worst, worst_at = 0.0, ""
-    for section in ("points", "sweep", "budgets", "class_route", "kernel"):
-        a, b = old[section], new[section]
+    for section in ("points", "sweep", "budgets", "class_route", "kernel", "simulate"):
+        a, b = old.get(section, {}), new.get(section, {})
+        exact = section == "simulate"
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
                 print(f"only in one digest: {section} {key}")
@@ -149,7 +164,9 @@ def compare(old: dict, new: dict) -> int:
             for field in sorted(set(a[key]) | set(b[key])):
                 va, vb = a[key].get(field), b[key].get(field)
                 numbers = isinstance(va, float) and isinstance(vb, float)
-                if numbers and math.isnan(va) == math.isnan(vb):
+                if exact and numbers and math.isnan(va) and math.isnan(vb):
+                    continue
+                if numbers and not exact and math.isnan(va) == math.isnan(vb):
                     gap = 0.0 if math.isnan(va) else abs(va - vb)
                     if gap > worst:
                         worst, worst_at = gap, f"{key} {field}"

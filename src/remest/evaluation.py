@@ -36,8 +36,8 @@ from .solver import (
 )
 
 STATIONARY_TOL = 1e-11
-SIM_BLOCK = 1 << 14  # slots per block of the simulator's draws and records
-SIM_LANES = 128  # lanes a block's walk is cut into (DECISIONS.md section 11)
+SIM_BLOCK = 1 << 15  # slots per block of the simulator's draws and records
+SIM_LANES = 256  # lanes a block's walk is cut into (DECISIONS.md section 11)
 SIM_SCALAR_LANES = 8  # the repair finishes this few lanes one slot at a time
 
 
@@ -363,8 +363,8 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
     The slots run in blocks of SIM_BLOCK, each block's uniforms drawn at
     once (the same doubles as one draw of the whole horizon), its walk cut
     into lanes that step together (``_walk``) and its record of states
-    priced with array gathers.  The horizon and the seed are nonnegative
-    integers, and the policy's action tables cover the model's states.
+    priced with ``take`` on per-state tables.  Horizon and seed are
+    nonnegative integers; the policy's action tables cover the model's states.
 
     The report is bit-reproducible for a fixed seed, and equal field by
     field to a slot-by-slot simulator that re-derives both timings from the
@@ -415,17 +415,24 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
     ch_success = 0
 
     delayed = model.timing == "delayed"
-    # Per-state pricing tables.  A slot's (source, estimate) pair is its own
-    # state's source with the priced state's estimate; its model cost is the
-    # pair's distortion times the priced state's error-age penalty.
+    # Per-state pricing tables: a slot's (source, estimate) pair is its own
+    # state's source with the priced state's estimate, its model cost the
+    # pair's distortion times the priced state's error-age penalty.  The
+    # delayed timing prices the slot's own state: both are per-state tables.
     flags = acts.ravel()  # flags[coin * S + s]: the action at s
     pair_x = model.x_of * n
     dist = model.distortion.ravel()
-    wrong = np.arange(n * n) // n != np.arange(n * n) % n  # pair -> x != estimate
+    wrong = 1 - np.eye(n, dtype=np.intp).ravel()  # pair -> 1 where x != estimate
     rho_model = model.rho_values[model.delta_of]
     rho_strict = model.rho_values
-    rec = np.empty(min(SIM_BLOCK, used) + 1, np.int32)  # the block's states, times m
+    if delayed:
+        pair_tbl = pair_x + model.est_prev
+        cost_tbl = dist[pair_tbl] * rho_model
+    size = min(SIM_BLOCK, used)
+    rec = np.empty(size + 1, np.int32)  # the block's states, times m
     rec[0] = model.ref_index * m
+    local, changed = np.arange(size), np.empty(size, bool)
+    since_buf, run_buf = np.empty((2, size), np.intp)
     # The run of (source, estimate) pairs in progress before the first slot:
     # none under the immediate timing; under the delayed timing the first
     # slot's own pair, begun so that the slot reads the start state's error
@@ -447,30 +454,43 @@ def simulate(model: SystemModel, policy, horizon: int, seed: int) -> SimReport:
         code += delivered * (1 + coin) * layer
 
         _walk(step, code, rec)
-        own = rec[:k] // m
-        # The immediate timing charges the slot after the action: next state.
-        priced = own if delayed else rec[1 : k + 1] // m
-        rec[0] = rec[k]
-
-        u = flags[coin * S + own]
-        ch_success += int(np.count_nonzero(u & delivered))
-        pair = pair_x[own] + model.est_prev[priced]
-        d_pair = dist[pair]
+        # intp indices: a gather casts int32 ones at several times its cost.
+        # Every index is in range; mode "clip" spares take a buffered copy.
+        states = (rec[: k + 1] // m).astype(np.intp)
+        own = states[:k]
         block = slice(start, start + k)
-        cost_m[block] = d_pair * rho_model[priced]
-        tx_flag[block] = u
+        rec[0] = rec[k]
+        u = flags.take(coin * S + own if mixed else own, out=tx_flag[block], mode="clip")
+        ch_success += int(np.count_nonzero(u & delivered))
+        if delayed:
+            pair = pair_tbl.take(own)
+            d_pair = dist.take(pair)
+            cost_tbl.take(own, out=cost_m[block], mode="clip")
+        else:
+            priced = states[1:]  # the immediate timing charges the next state
+            pair = pair_x.take(own)
+            pair += model.est_prev.take(priced)
+            d_pair = dist.take(pair)
+            np.multiply(d_pair, rho_model.take(priced), out=cost_m[block])
 
         # Strict error age: 0 on a right estimate, else the length of the run
-        # of equal (source, estimate) pairs ending at the slot.
-        slots = np.arange(start, start + k)
-        changed = pair != np.concatenate(([run_pair], pair[:-1]))
-        run_start = np.maximum.accumulate(np.where(changed, slots, run_from))
-        strict = np.where(wrong[pair], slots - run_start + 1, 0)
-        run_pair, run_from = int(pair[-1]), int(run_start[-1])
+        # of equal (source, estimate) pairs ending at the slot.  With since a
+        # slot's distance from the carried run's start (>= 0 wherever the
+        # pair changes), the running maximum of since * changed is the slot's
+        # run start on the same count (np.where there would branch on flags).
+        np.not_equal(pair[1:], pair[:-1], out=changed[1:k])
+        changed[0] = pair[0] != run_pair
+        since = np.subtract(local[:k], run_from - start, out=since_buf[:k])
+        run_start = np.multiply(since, changed[:k], out=run_buf[:k])
+        np.maximum.accumulate(run_start, out=run_start)
+        run_pair, run_from = int(pair[-1]), run_from + int(run_start[-1])
+        strict = np.subtract(since, run_start, out=run_start)
+        strict += 1
+        strict *= wrong.take(pair)
         top = int(strict.max())
         if top >= rho_strict.size:
             rho_strict = model.rho.values(top)
-        cost_s[block] = d_pair * rho_strict[strict]
+        np.multiply(d_pair, rho_strict.take(strict), out=cost_s[block])
     tx_total = int(np.count_nonzero(tx_flag))
 
     def batch_stats(series):

@@ -208,7 +208,7 @@ def same_report(a, b):
 
 
 # (chain, estimator, timing, p_s, delta_max, policy).  A horizon of 40 017
-# keeps 40 000 slots: two full blocks and a partial one.
+# keeps 40 000 slots: one full block of 2^15 slots and a partial one.
 ORACLE_CASES = [
     (2, "map", "immediate", 0.6, 5, "reactive"),
     (2, "zoh", "delayed", 1.0, 5, "mixture"),
@@ -467,7 +467,7 @@ def sequential_walk(table, code, start):
 
 class TestLaneWalk:
     @pytest.mark.parametrize("kind", ["merging", "permutation", "constant"])
-    @pytest.mark.parametrize("k", [1, 7, 1000, 16384])
+    @pytest.mark.parametrize("k", [1, 7, 1000, 16384, 32768])
     def test_matches_sequential_walk(self, kind, k):
         # States 0..49 times m = 3, codes in 0..2.  Random successors merge
         # walks; a permutation per code never does, so the block is walked in
@@ -503,6 +503,62 @@ class TestLaneWalk:
                 monkeypatch.setattr(remest.evaluation, "SIM_LANES", -(-block // size))
                 monkeypatch.setattr(remest.evaluation, "SIM_SCALAR_LANES", scalar)
                 assert same_report(simulate(model, policy, horizon, 11), want), (size, scalar)
+
+    @staticmethod
+    def reports_by_constants(monkeypatch, model, policy, horizon):
+        """One report per (SIM_BLOCK, SIM_LANES): lanes of 128 slots, the
+        block boundaries and the number of lanes moved."""
+        reports = []
+        for block, lanes in ((1 << 12, 32), (1 << 14, 128), (1 << 15, 256)):
+            monkeypatch.setattr(remest.evaluation, "SIM_BLOCK", block)
+            monkeypatch.setattr(remest.evaluation, "SIM_LANES", lanes)
+            reports.append(simulate(model, policy, horizon, 11))
+        return reports
+
+    @pytest.mark.parametrize("chain, estimator, timing, p_s, delta_max, kind", ORACLE_CASES)
+    def test_reports_independent_of_constants(
+        self, monkeypatch, chain, estimator, timing, p_s, delta_max, kind
+    ):
+        model = oracle_case_model(chain, estimator, timing, p_s, delta_max)
+        policy = oracle_case_policy(model, kind)
+        first, *rest = self.reports_by_constants(monkeypatch, model, policy, 40_017)
+        assert all(same_report(first, r) for r in rest), [first, *rest]
+
+    @pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
+    def test_mixture_reports_independent_of_constants(
+        self, monkeypatch, request, solved_main, fixture
+    ):
+        model = request.getfixturevalue(fixture)
+        policy = solved_main(model, 0.1).policy
+        first, *rest = self.reports_by_constants(monkeypatch, model, policy, 70_017)
+        assert all(same_report(first, r) for r in rest), [first, *rest]
+
+    @pytest.mark.parametrize("timing", ["immediate", "delayed"])
+    def test_error_run_across_blocks_matches_reference(self, monkeypatch, timing):
+        # A sticky source and a hold-last-value receiver that never hears
+        # from it: each sojourn away from the start state's source is one
+        # error run of about 5 000 slots, carried across blocks of 1 024.
+        # The linear age penalty prices every strict age apart.  (The
+        # 3-cycle's source moves every slot, so its error runs are 1 slot.)
+        rows = [[0.9998, 0.0002], [0.0002, 0.9998]]
+        model = build_model(
+            validate_chain(rows), 0.7, "hamming", AgeFunction.polynomial([1.0, 1.0]),
+            5, 5, "zoh", timing=timing,
+        )
+        policy = never_transmit_policy(model)
+        # The source path from the seed's source stream: the longest error
+        # run spans at least three block boundaries.
+        src = np.random.default_rng(np.random.SeedSequence(11).spawn(3)[0])
+        x = xstar = int(model.x_of[model.ref_index])
+        run = longest = 0
+        for u in src.random(40_000).tolist():
+            x = int(u >= rows[x][0])
+            run = run + 1 if x != xstar else 0
+            longest = max(longest, run)
+        assert longest > 3 << 10
+        monkeypatch.setattr(remest.evaluation, "SIM_BLOCK", 1 << 10)
+        got = simulate(model, policy, 40_017, 11)
+        assert same_report(got, reference_simulate(model, policy, 40_017, 11)), got
 
     @pytest.mark.parametrize("fixture", ["main_model", "paper_model"])
     def test_low_rate_policy_matches_reference(self, request, fixture):
