@@ -8,9 +8,13 @@ at every price in 0, 0.5, ..., 20, the same four per price from one warm
 lambda*, p, J, F, or the error raised) at every budget in 0.05, ..., 0.30.
 Each budget also carries the sha256 of the solution's action tables (the
 two pieces of a mixture) and, from ``stationary_metrics`` of its policy, the
-sha256 of the reachable set with F and J.  One point of the class route is
-added: never-transmit at price 1000 on ``delta_max = 2`` under the delayed
-timing, with the route taken, gain, J and F.  Each model also carries a
+sha256 of the reachable set with F and J, the law's mean AoI and mean
+AoCE (mu @ theta_of, mu @ delta_of) and the sha256 of its support (the
+states with mu > 0).  One point of the class route is added: never-transmit
+at price 1000 on ``delta_max = 2`` under the delayed timing, with the route
+taken, gain, J and F; beside it the stationary F, J and reachable-set
+sha256 of never-transmit on the ZOH model under the delayed timing, whose
+chain has several closed classes.  Each model also carries a
 kernel section: the sha256 of its ``idle_targets``, ``succ_targets``,
 ``idle_cost``, ``tx_cost`` and ``idle_pinned`` arrays and of K(q) at q = 0
 and q = 1 (``solver._kernel_values``), so a change to how the model is built
@@ -122,6 +126,9 @@ def digest(config_path: str) -> dict:
                 "reachable_sha256": _sha256(met.reachable),
                 "stationary_J": met.J,
                 "stationary_F": met.F,
+                "mean_aoi": float(met.mu @ model.theta_of),
+                "mean_aoce": float(met.mu @ model.delta_of),
+                "support_sha256": _sha256(np.flatnonzero(met.mu > 0)),
             }
             if f_max == 0.10 and label.startswith("map/"):
                 policies = {"f=0.1": sol.policy, "lam=100": spi_solve(model, 100.0)[0]}
@@ -138,6 +145,13 @@ def digest(config_path: str) -> dict:
             "J": gb.j_component,
             "F": gb.f_component,
         }
+    }
+    model = config.with_overrides(theta_max=1, estimator="zoh").build_model(timing="delayed")
+    met = stationary_metrics(model, never_transmit_policy(model))
+    route["zoh/delayed/never/stationary"] = {
+        "stationary_J": met.J,
+        "stationary_F": met.F,
+        "reachable_sha256": _sha256(met.reachable),
     }
     return {
         "points": points,

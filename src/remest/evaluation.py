@@ -26,9 +26,7 @@ from .solver import (
     ThresholdView,
     _check_actions,
     _class_systems,
-    _closed_classes,
     _keep,
-    _pinned_lu,
     _stage_costs,
     induced_kernel,
     reachable_set,
@@ -68,29 +66,27 @@ def _mixture_parts(policy):
 def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
     """Exact frequency and error cost of a deterministic or mixture policy.
 
-    With one closed class of K(q) (``solver._closed_classes``) the law is
-    the transposed solve of policy evaluation's pinned system
-    (``solver._pinned_lu``), kept on that class; with several, each class's
-    law (``solver._class_systems``) weighted by the chance of ending there
-    from the reference state.  Transient states carry exactly zero mass, and
-    the balance residual max|mu K - mu| is checked against STATIONARY_TOL.
+    K(q) is cut to the states the reference state reaches, a closed set,
+    and split there into its closed classes (``solver._class_systems``):
+    the law is each class's law weighted by the chance of ending in that
+    class from the reference state.  One class holding the reference state,
+    the unichain case, is one sparse LU of that class's bordered system.
+    Transient and unreached states carry exactly zero mass, and the balance
+    residual max|mu K - mu| is checked against STATIONARY_TOL.
     """
     p, act_minus, act_plus = _mixture_parts(policy)
     _check_actions(model, act_minus, act_plus)
     costs = p * _stage_costs(model, act_minus) + (1.0 - p) * _stage_costs(model, act_plus)
     kernel = induced_kernel(model, costs[1])
-    label = _closed_classes(kernel)
+    reach = reachable_set(kernel, model.ref_index)
+    ref = int(np.searchsorted(reach, model.ref_index))
     mu = np.zeros(model.num_mdp_states)
     try:
-        if label.max() == 0:
-            law = _pinned_lu(model, costs[1]).solve(np.append(mu, 1.0), trans="T")[:-1]
-            mu = np.where(label == 0, law, 0.0)
-        else:
-            members, _, laws, _, absorb, _ = _class_systems(model, kernel)
-            for states, law, w in zip(members, laws, absorb[model.ref_index]):
-                mu[states] = w * law
+        members, _, laws, _, absorb, _ = _class_systems(kernel[reach][:, reach], ref)
     except RuntimeError as exc:  # exactly singular
         raise ConvergenceFailure(f"stationary law not solved: {exc}") from exc
+    for states, law, w in zip(members, laws, absorb[ref]):
+        mu[reach[states]] = w * law
     mu = np.clip(mu, 0.0, None)
     mu /= mu.sum()
     resid = np.abs(kernel.T @ mu - mu).max()
@@ -98,7 +94,7 @@ def stationary_metrics(model: SystemModel, policy) -> StationaryMetrics:
         raise ConvergenceFailure(f"stationary law balance residual {resid:.2e}")
     f = float(mu @ costs[1])
     j = float(mu @ costs[0])
-    return StationaryMetrics(mu=mu, F=f, J=j, reachable=reachable_set(kernel, model.ref_index))
+    return StationaryMetrics(mu=mu, F=f, J=j, reachable=reach)
 
 
 @dataclass

@@ -9,8 +9,7 @@ Two independent routes are kept deliberately separate:
 * ``rvi_solve`` runs plain relative value iteration over all state-action
   pairs and serves as the unstructured oracle.
 
-Policy evaluation and the stationary law (``evaluation.stationary_metrics``)
-share one solver of the pinned bordered system M = [[I - K(q), 1],
+Policy evaluation solves the pinned bordered system M = [[I - K(q), 1],
 [e_ref, 0]], where K(q) is the kernel induced by a per-state transmit
 probability q and the bias is pinned to zero at the model's reference
 state.  Each slot the info age either grows by one (capped at theta_max)
@@ -22,16 +21,18 @@ gather per lower level, M by a Sherman-Morrison-Woodbury update of that
 (``_LevelFactor``).  The level layout (``LevelLayout``) is made once per
 model, on the first factorization.  A chain with several closed classes
 is evaluated class by class instead (``_class_solve``), and SPI compares
-its gains before its biases.  The same pinned solve yields J and F of
-the policy, and its bias at any price, since the relaxed cost at price lam
-is the error cost plus lam times the transmit indicator.  So SPI's callers
-read J and F from its ``GainBias``, and SPI re-prices a policy's
-evaluation made at another price instead of solving again; a mixture's J
-and F are read from the same solve.  The improvement pass, the threshold
-view and the structural checks work on the (triples, delta_max + 1)
-reshape of the state space, one row per (x, z, theta) triple, with no
-Python loop; SPI, RVI and the submodularity check share one Q-factor
-routine.
+its gains before its biases.  That route's class systems
+(``_class_systems``) also give every stationary law
+(``evaluation.stationary_metrics``), on the states the reference state
+reaches.  The pinned solve yields J and F of the policy, and its bias at
+any price, since the relaxed cost at price lam is the error cost plus lam
+times the transmit indicator.  So SPI's callers read J and F from its
+``GainBias``, and SPI re-prices a policy's evaluation made at another
+price instead of solving again; a mixture's J and F are read from the
+same solve.  The improvement pass, the threshold view and the structural
+checks work on the (triples, delta_max + 1) reshape of the state space,
+one row per (x, z, theta) triple, with no Python loop; SPI, RVI and the
+submodularity check share one Q-factor routine.
 """
 
 from __future__ import annotations
@@ -257,12 +258,12 @@ class LevelLayout:
     S x G group indicator, S_T picking T).  ``targets`` (2n, S) lists each
     state's idle, then its success targets.  ``top`` is the CSC pattern of
     the theta_max block with its border, columns in a fill-reducing order
-    (block column ``top_order[j]`` is stored at j, and block column c at
-    ``top_position[c]``): indices, indptr, and the data slots of the idle
-    entries, of the unit entries (identity and border column) and of the
-    border row.  ``top_closed`` numbers the closed classes of the idle
-    chain on the theta_max level (its bottom strongly connected
-    components), -1 off them, by position in that level.
+    (block column c is stored at ``top_position[c]``): indices, indptr, and
+    the data slots of the idle entries, of the unit entries (identity and
+    border column) and of the border row.  ``top_closed`` numbers the
+    closed classes of the idle chain on the theta_max level (its bottom
+    strongly connected components), -1 off them, by position in that
+    level.
     """
 
     order: np.ndarray
@@ -273,7 +274,6 @@ class LevelLayout:
     weights: np.ndarray
     targets: np.ndarray
     top: tuple
-    top_order: np.ndarray
     top_position: np.ndarray
     top_closed: np.ndarray
 
@@ -320,7 +320,6 @@ def level_layout(model: SystemModel) -> LevelLayout:
         weights=weights,
         targets=np.vstack([model.idle_targets.T, model.succ_targets.T]).astype(np.int32),
         top=tuple(a.astype(np.int32) for a in top),
-        top_order=np.argsort(top_position).astype(np.int32),
         top_position=top_position.astype(np.int32),
         top_closed=top_closed.astype(np.int32),
     )
@@ -333,13 +332,12 @@ class _LevelFactor:
 
     M0 keeps the idle part of K and the border, with its pin row spread
     evenly over the theta_max level (``pin``) instead of set at the
-    reference state.  U V^T holds the
-    rest: the success part, G columns with U = diag(p_s q) E and V^T = W S_T
-    (``LevelLayout``), and the move of the pin to the reference state, one
-    more column.  M0 is block-triangular in the level order, so M0^{-1} is a
-    SuperLU solve of its theta_max block with the border (``lu``) followed
-    by one gather per lower level from the level above (``_sweep``); M0^{-T}
-    runs the same steps in reverse (``_sweep_t``).  Spreading the pin keeps
+    reference state.  U V^T holds the rest: the success part, G columns
+    with U = diag(p_s q) E and V^T = W S_T (``LevelLayout``), and the move
+    of the pin to the reference state, one more column.  M0 is
+    block-triangular in the level order, so M0^{-1} is a SuperLU solve of
+    its theta_max block with the border (``lu``) followed by one gather per
+    lower level from the level above (``_sweep``).  Spreading the pin keeps
     that block nonsingular when the theta_max level holds one closed class
     without the reference state, as a policy that never transmits at some
     content does.  The first solve sweeps U with its right-hand side and
@@ -363,25 +361,18 @@ class _LevelFactor:
     z: np.ndarray | None = None
     cap: tuple | None = None
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        """M x = rhs, or M^T x = rhs with trans="T", in M's own unknowns."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M x = rhs in M's own unknowns."""
         lay = self.layout
         b = np.take(np.reshape(rhs, (lay.order.size, -1)), lay.order, axis=0)
-        if trans == "T":
-            if self.z is None:  # sweep U alone and close the capacitance
-                self._close(self._swept(np.zeros((lay.order.size, 0))))
-            # M^{-T} = M0^{-T} (I + V C^{-T} z^T), as z^T = U^T M0^{-T}.
-            self._add_v(b, self._cap_solve(self.z.T @ b, trans=1))
-            self._sweep_t(b)
+        # M^{-1} = (I + z C^{-1} V^T) M0^{-1}.
+        if self.z is None:
+            x = self._swept(b)
+            self._close(x)
+            b = x[:, : b.shape[1]]
         else:
-            # M^{-1} = (I + z C^{-1} V^T) M0^{-1}.
-            if self.z is None:
-                x = self._swept(b)
-                self._close(x)
-                b = x[:, : b.shape[1]]
-            else:
-                self._sweep(b)
-            b += self.z @ self._cap_solve(self._vt(b), trans=0)
+            self._sweep(b)
+        b += self.z @ _GETRS(*self.cap, self._vt(b))[0]
         return np.take(b, lay.position, axis=0).reshape(np.shape(rhs))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -410,14 +401,6 @@ class _LevelFactor:
         ref = x[lay.position[self.model.ref_index]] - self.pin @ x[top:-1]
         return np.vstack([lay.weights @ x[lay.resets], ref])
 
-    def _add_v(self, x: np.ndarray, s: np.ndarray) -> None:
-        """x += V s in place."""
-        lay = self.layout
-        top = x.shape[0] - self.pin.size - 1
-        x[lay.resets] += lay.weights.T @ s[:-1]
-        x[lay.position[self.model.ref_index]] += s[-1]
-        x[top:-1] -= self.pin[:, None] * s[-1]
-
     def _close(self, x: np.ndarray) -> None:
         """Keep z = M0^{-1} U, the last columns of ``x``, and the LU of the
         capacitance."""
@@ -428,10 +411,6 @@ class _LevelFactor:
         if info > 0:
             raise RuntimeError("capacitance is exactly singular")
         self.z, self.cap = z, (lu, piv)
-
-    def _cap_solve(self, r: np.ndarray, trans: int) -> np.ndarray:
-        """C^{-1} r (trans=0) or C^{-T} r (trans=1)."""
-        return _GETRS(*self.cap, r, trans=trans)[0]
 
     def _sweep(self, x: np.ndarray) -> None:
         """x <- M0^{-1} x in place: the theta_max block with the gain, then
@@ -449,33 +428,18 @@ class _LevelFactor:
             above = np.take(x[lo + size : lo + 2 * size], self.layout.idle_local[theta], axis=0)
             x[lo : lo + size] += np.einsum("kl,klc->lc", self.idle[theta], above)
 
-    def _sweep_t(self, x: np.ndarray) -> None:
-        """x <- M0^{-T} x in place: each level's mass flows into the level
-        above, then the theta_max block with the gain row."""
-        size = self.pin.size
-        top = x.shape[0] - size - 1
-        for theta in range(top // size):
-            lo = theta * size
-            targets = self.layout.idle_local[theta].ravel()
-            for col in range(x.shape[1]):
-                flow = self.idle[theta] * x[lo : lo + size, col]
-                x[lo + size : lo + 2 * size, col] += np.bincount(targets, flow.ravel(), size)
-        x[-1] -= x[:top].sum(axis=0)
-        x[top:] = self.lu.solve(np.take(x[top:], self.layout.top_order, axis=0), trans="T")
-
 
 def _pinned_lu(model: SystemModel, tx_prob: np.ndarray) -> _LevelFactor:
     """Factor of the pinned system M = [[I - K(q), 1], [e_ref, 0]].
 
     The unknowns are (bias, gain): M [h; g] = [c; 0] is the gain/bias system
-    with h = 0 at the model's reference state, and M^T [mu; 0] = [0; 1] is
-    the stationary law.  Only the theta_max block with its border, one
-    numeric fill of the model's ``level_layout`` pattern, goes to SuperLU;
-    the rest is solved along the levels (``_LevelFactor``).  Raises
-    RuntimeError when M is exactly singular, and when two closed classes of
-    the theta_max level's idle chain (``LevelLayout.top_closed``) hold no
-    transmitting state: they are closed classes of K(q) too, and both that
-    block and M are singular.
+    with h = 0 at the model's reference state.  Only the theta_max block
+    with its border, one numeric fill of the model's ``level_layout``
+    pattern, goes to SuperLU; the rest is solved along the levels
+    (``_LevelFactor``).  Raises RuntimeError when M is exactly singular, and
+    when two closed classes of the theta_max level's idle chain
+    (``LevelLayout.top_closed``) hold no transmitting state: they are closed
+    classes of K(q) too, and both that block and M are singular.
     """
     lay = model.level_layout
     n, size = model.n_states, lay.idle_local.shape[2]
@@ -496,13 +460,13 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray) -> _LevelFactor:
     return _LevelFactor(model, lay, kernel, idle, send, pin, block, lu)
 
 
-def _class_systems(model: SystemModel, kernel: sp.csr_matrix):
-    """K(q), given as ``kernel``, cut into its closed classes
+def _class_systems(kernel: sp.csr_matrix, ref: int):
+    """A stochastic matrix ``kernel`` cut into its closed classes
     (``_closed_classes``) and transient states T, by plain sparse LU.
 
     Returns (members, lus, laws, transient, absorb, lu_t).  ``lus[c]``
-    factors class c's M = [[I - K_cc, 1], [e_pin, 0]], pinned at the
-    reference state if the class holds it, else at its lowest state;
+    factors class c's M = [[I - K_cc, 1], [e_pin, 0]], pinned at state
+    ``ref`` if the class holds it, else at its lowest state;
     M [h; g] = [c; 0] is its bias and gain, M^T [mu; 0] = [0; 1] its law
     ``laws[c]``.  ``absorb`` (S, classes) holds the chances of ending in
     each class, A_T = (I - K_TT)^{-1} K_TR A_R; ``lu_t`` factors I - K_TT
@@ -511,7 +475,7 @@ def _class_systems(model: SystemModel, kernel: sp.csr_matrix):
     members = [np.flatnonzero(label == c) for c in range(label.max() + 1)]
     lus, laws = [], []
     for states in members:
-        k, pin = states.size, int(np.argmax(states == model.ref_index))  # 0 without it
+        k, pin = states.size, int(np.argmax(states == ref))  # 0 without it
         k_cc = kernel[states][:, states]
         block = [[sp.eye(k) - k_cc, np.ones((k, 1))], [np.eye(1, k, pin), None]]
         lus.append(spla.splu(sp.bmat(block, format="csc")))
@@ -608,7 +572,7 @@ def _class_solve(model, q, lam, costs, split=False) -> GainBias:
     """
     kernel = induced_kernel(model, q)
     try:
-        members, lus, laws, t, absorb, lu_t = _class_systems(model, kernel)
+        members, lus, laws, t, absorb, lu_t = _class_systems(kernel, model.ref_index)
     except RuntimeError as exc:  # exactly singular
         raise ConvergenceFailure(f"class-by-class evaluation failed: {exc}") from exc
     cost = costs.T

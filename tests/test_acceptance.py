@@ -251,11 +251,13 @@ def test_criterion_12_estimator_dominance(paper_model, paper_zoh_model, solved_m
 
 
 def test_criterion_13_truncation_trends(main_config):
-    kls = [kl_truncation(main_config, 20, 20, 20, d) for d in (5, 10, 15, 20)]
+    # delta = 2 and 3 lose information (KL > 0); from 5 up the KL is 0.0,
+    # so the small ones are what give the trend something to check.
+    kls = [kl_truncation(main_config, 20, 20, 20, d) for d in (2, 3, 5, 10, 15, 20)]
     non_increasing = all(a >= b - 1e-12 for a, b in zip(kls, kls[1:]))
     kl_zoh = kl_truncation(main_config, 20, 20, 1, 20, infinite_on_mismatch=True)
     above = kl_zoh > kls[-1]
-    ok = non_increasing and above
+    ok = kls[0] > 0 and non_increasing and above
     assert verdict(
         13, ok,
         f"delta-series={['%.2e' % k for k in kls]} age-1 series={kl_zoh}",

@@ -457,6 +457,35 @@ def test_never_transmit_on_zoh_config_meets_residual_tol(timing):
     assert gb.residual <= RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("timing", ["immediate", "delayed"])
+def test_zoh_never_transmit_law_factors_only_reached_classes(timing, monkeypatch):
+    # The chain has three closed classes and a transient block; the law
+    # factors only the classes the reference state reaches, each as its
+    # bordered system [[I - K_cc, 1], [e_pin, 0]], and no transient block.
+    model = SystemConfig.from_file("configs/three_state_zoh.json").build_model(timing=timing)
+    factored = []
+    splu = remest.solver.spla.splu
+
+    def spy(matrix, *args, **kwargs):
+        factored.append(sp.csc_matrix(matrix).toarray())
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(remest.solver.spla, "splu", spy)
+    met = stationary_metrics(model, never_transmit_policy(model))
+    monkeypatch.undo()
+    kernel = dense_kernel(model, np.zeros(model.num_mdp_states))
+    closed = dense_closed_classes(kernel)
+    assert len(closed) == 3
+    reached = [c for c in closed if np.isin(c, met.reachable).all()]
+    assert 1 <= len(factored) == len(reached)
+    for matrix, members in zip(factored, reached):
+        k = members.size
+        assert matrix.shape == (k + 1, k + 1)
+        block = np.eye(k) - kernel[np.ix_(members, members)]
+        assert np.abs(matrix[:k, :k] - block).max() <= 1e-15
+        assert (matrix[:k, k] == 1.0).all() and matrix[k, :k].sum() == 1.0
+
+
 def loop_threshold_view(model, actions):
     """Triple-by-triple reference for ThresholdView.from_policy and
     check_switching_structure: (thresholds or fault message, violations)."""
@@ -553,24 +582,27 @@ def coo_pinned_matrix(model, tx_prob):
 
 @pytest.mark.parametrize("fixture", ["main_model", "paper_model", "zoh_model"])
 def test_level_solve_matches_coo_reference(fixture, request, solved_main):
+    # The level solve against a plain sparse solve of the same matrix, and
+    # the stationary law (the class route) against the transposed one.
     model = request.getfixturevalue(fixture)
     rng = np.random.default_rng(5)
     mix = solved_main(model, 0.1).policy
-    cases = [
+    tables = [
         never_transmit_policy(model).actions,
         reactive_policy(model).actions,
         # Random tables transmit at pinned states too, as RVI's policies may.
         rng.integers(0, 2, model.num_mdp_states),
         rng.integers(0, 2, model.num_mdp_states),
-        mix.p * mix.policy_minus.actions + (1.0 - mix.p) * mix.policy_plus.actions,
     ]
-    assert cases[2][model.idle_pinned].any()
+    cases = [(DeterministicPolicy(a), a) for a in tables]
+    cases.append((mix, mix.p * mix.policy_minus.actions + (1.0 - mix.p) * mix.policy_plus.actions))
+    assert tables[2][model.idle_pinned].any()
     s_count = model.num_mdp_states
     rhs = np.vstack([rng.uniform(0.0, 2.0, (s_count, 2)), [0.0, 0.0]])
     unit = np.zeros(s_count + 1)
     unit[-1] = 1.0
     solved = []
-    for q in cases:
+    for policy, q in cases:
         q = np.asarray(q, dtype=float)
         if not q.any():
             # Never transmitting splits the chain into closed classes with
@@ -583,15 +615,13 @@ def test_level_solve_matches_coo_reference(fixture, request, solved_main):
         expected = spla.spsolve(matrix, rhs)
         expected_mu = spla.spsolve(matrix.T.tocsc(), unit)
         got = factor.solve(rhs)
-        got_mu = factor.solve(unit, trans="T")
         # Biases reach 1e5 on these models: compare against the largest.
         assert np.abs(got - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
-        assert np.abs(got_mu - expected_mu).max() <= 1e-12
-        solved.append((factor, got, got_mu))
+        assert np.abs(stationary_metrics(model, policy).mu - expected_mu[:-1]).max() <= 1e-12
+        solved.append((factor, got))
     # The layout is shared: later factors must leave earlier ones alone.
-    for factor, got, got_mu in solved:
+    for factor, got in solved:
         assert np.abs(factor.solve(rhs) - got).max() <= 1e-9 * max(1.0, np.abs(got).max())
-        assert np.abs(factor.solve(unit, trans="T") - got_mu).max() <= 1e-12
 
 
 def check_level_layout(model):
