@@ -21,7 +21,9 @@ and q = 1 (``solver._kernel_values``), so a change to how the model is built
 shows even where no solve moves.  A simulate section holds every
 ``SimReport`` field of ``simulate`` on the MAP model under both timings, for
 the f = 0.1 mixture and the ``spi_solve`` policy at price 100, seeds 7 and
-20240901, 200 017 slots.
+20240901, 200 017 slots.  A truncation section holds ``kl_truncation`` of
+every theta in 1, 2, 5, 20 and delta in 2, 3, 5, 20 against the config's own
+truncation, inf on a support mismatch, or the error raised.
 
     python scripts/results_digest.py --out new.json
     PYTHONPATH=/path/to/other/checkout/src python scripts/results_digest.py --out old.json
@@ -30,7 +32,7 @@ the f = 0.1 mixture and the ``spi_solve`` policy at price 100, seeds 7 and
 ``--compare`` lists the action tables and fields that differ and the largest
 |delta| of the numbers; it exits 1 on any table, kind or error difference or
 on any |delta| above 1e-10 (on any difference at all in the simulate
-section, NaN equal to NaN), and 0 otherwise.
+section, NaN equal to NaN; inf equals inf), and 0 otherwise.
 """
 
 import argparse
@@ -43,6 +45,8 @@ PRICES = [0.5 * i for i in range(41)]
 BUDGETS = [0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
 SIM_SEEDS = (7, 20240901)
 SIM_HORIZON = 200_017
+TRUNCATION_THETAS = (1, 2, 5, 20)
+TRUNCATION_DELTAS = (2, 3, 5, 20)
 TOLERANCE = 1e-10
 
 
@@ -63,6 +67,7 @@ def digest(config_path: str) -> dict:
     from remest import (
         RemestError,
         SystemConfig,
+        kl_truncation,
         never_transmit_policy,
         policy_evaluate,
         simulate,
@@ -153,6 +158,19 @@ def digest(config_path: str) -> dict:
         "stationary_F": met.F,
         "reachable_sha256": _sha256(met.reachable),
     }
+    truncation = {}
+    for theta in TRUNCATION_THETAS:
+        for delta in TRUNCATION_DELTAS:
+            key = f"theta={theta}/delta={delta}"
+            try:
+                kl = kl_truncation(
+                    config, config.theta_max, config.delta_max, theta, delta,
+                    infinite_on_mismatch=True,
+                )
+            except RemestError as exc:
+                truncation[key] = {"error": type(exc).__name__}
+                continue
+            truncation[key] = {"kl": kl}
     return {
         "points": points,
         "sweep": sweep,
@@ -160,6 +178,7 @@ def digest(config_path: str) -> dict:
         "class_route": route,
         "kernel": kernel,
         "simulate": sims,
+        "truncation": truncation,
     }
 
 
@@ -167,7 +186,8 @@ def compare(old: dict, new: dict) -> int:
     """Print the differences of two digests; return the exit code."""
     failed = False
     worst, worst_at = 0.0, ""
-    for section in ("points", "sweep", "budgets", "class_route", "kernel", "simulate"):
+    sections = ("points", "sweep", "budgets", "class_route", "kernel", "simulate", "truncation")
+    for section in sections:
         a, b = old.get(section, {}), new.get(section, {})
         exact = section == "simulate"
         for key in sorted(set(a) | set(b)):
@@ -181,7 +201,7 @@ def compare(old: dict, new: dict) -> int:
                 if exact and numbers and math.isnan(va) and math.isnan(vb):
                     continue
                 if numbers and not exact and math.isnan(va) == math.isnan(vb):
-                    gap = 0.0 if math.isnan(va) else abs(va - vb)
+                    gap = 0.0 if math.isnan(va) or va == vb else abs(va - vb)
                     if gap > worst:
                         worst, worst_at = gap, f"{key} {field}"
                 elif va != vb:

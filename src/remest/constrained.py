@@ -27,7 +27,6 @@ from .errors import (
     InfeasiblePairError,
     NoProgressError,
 )
-from .evaluation import stationary_metrics
 from .model import SystemModel
 from .solver import (
     RESIDUAL_TOL,
@@ -260,33 +259,38 @@ def build_mixture(
     then pins it to the budget.  F(p) and J(p) are the gains of the policy
     evaluator's solve (``solver._evaluate``) for the coin-weighted transmit
     probability and cost rows, both columns' residuals checked (DECISIONS.md
-    section 8).  f_minus and f_plus are the two policies' stationary
-    frequencies, computed here when not given.
+    section 8).  f_minus and f_plus are the two policies' frequencies; one
+    not given is read off that same solve at p = 1 (policy_minus alone) or
+    p = 0 (policy_plus alone), and each p is evaluated at most once.
     """
+    a_minus, a_plus = policy_minus.actions, policy_plus.actions
+    rates = {}  # p -> (F, J); the root-find ends on a p it evaluated
+
+    c_minus, c_plus = _stage_costs(model, a_minus), _stage_costs(model, a_plus)
+    def rate(p):
+        if p not in rates:
+            # Rows (error, tx) as stationary_metrics mixes them; tx is the coin's q.
+            costs = p * c_minus + (1.0 - p) * c_plus
+            gb = _evaluate(model, costs[1], costs, 0.0, split=True)
+            if not gb.residual <= RESIDUAL_TOL:
+                raise ConvergenceFailure(f"mixture at p = {p!r} has residual {gb.residual:.2e}")
+            rates[p] = (gb.f_component, gb.j_component)
+        return rates[p]
+
+    def freq_gap(p):
+        return rate(p)[0] - f_max
+
     if f_minus is None:
-        f_minus = stationary_metrics(model, policy_minus).F
+        f_minus = rate(1.0)[0]
     if f_plus is None:
-        f_plus = stationary_metrics(model, policy_plus).F
+        f_plus = rate(0.0)[0]
     if not (f_plus <= f_max + F_MATCH_TOL and f_max <= f_minus + F_MATCH_TOL):
         raise InfeasiblePairError(
             f"budget {f_max} outside the pair's frequencies [{f_plus:.6f}, {f_minus:.6f}]"
         )
-    a_minus, a_plus = policy_minus.actions, policy_plus.actions
     diff = [int(i) for i in np.flatnonzero(a_minus != a_plus)]
     p_lin = (f_max - f_plus) / (f_minus - f_plus) if f_minus - f_plus > F_MATCH_TOL else 0.0
     p_lin = min(max(p_lin, 0.0), 1.0)
-
-    rates = {}  # p -> (F, J); the root-find ends on a p it evaluated
-
-    c_minus, c_plus = _stage_costs(model, a_minus), _stage_costs(model, a_plus)
-    def freq_gap(p):
-        # Rows (error, tx) as stationary_metrics mixes them; tx is the coin's q.
-        costs = p * c_minus + (1.0 - p) * c_plus
-        gb = _evaluate(model, costs[1], costs, 0.0, split=True)
-        if not gb.residual <= RESIDUAL_TOL:
-            raise ConvergenceFailure(f"mixture at p = {p!r} has residual {gb.residual:.2e}")
-        rates[p] = (gb.f_component, gb.j_component)
-        return gb.f_component - f_max
 
     gap_lin = freq_gap(p_lin)
     if abs(gap_lin) <= F_MATCH_TOL * 1e-2:
@@ -406,3 +410,12 @@ def solve_cmdp(
         view_minus=ThresholdView.from_policy(model, pol_m),
         view_plus=ThresholdView.from_policy(model, pol_p),
     )
+
+
+def __getattr__(name):
+    # bench/tracing.py wraps ``stationary_metrics`` here too; nothing here calls
+    # it, so the name is looked up in ``evaluation`` when read, not imported.
+    if name == "stationary_metrics":
+        from . import evaluation
+        return evaluation.stationary_metrics
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

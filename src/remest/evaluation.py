@@ -18,6 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .constrained import MixturePolicy, solve_cmdp
 from .errors import ConvergenceFailure, DomainError, RemestError, SupportMismatchError
 from .model import SystemModel
 from .solver import (
@@ -54,8 +55,6 @@ class StationaryMetrics:
 
 def _mixture_parts(policy):
     """Normalize a policy argument to (prob, actions_a, actions_b)."""
-    from .constrained import MixturePolicy  # local: avoids an import cycle
-
     if isinstance(policy, MixturePolicy):
         return policy.p, policy.policy_minus.actions, policy.policy_plus.actions
     if isinstance(policy, DeterministicPolicy):
@@ -159,47 +158,30 @@ def sweep_lambda(model: SystemModel, lambda_grid) -> list[SolveOutcome]:
     return outcomes
 
 
-def kl_truncation(
-    config,
-    theta_ref: int,
-    delta_ref: int,
-    theta_small: int,
-    delta_small: int,
-    infinite_on_mismatch: bool = False,
-) -> float:
-    """Information loss of solving at a smaller truncation.
+def _solved_law(config, theta_max: int, delta_max: int):
+    """Model of ``config`` at the truncation (theta_max, delta_max) and the
+    stationary law of its constrained solution (``solve_cmdp`` at the
+    config's budget, price bound and mixture tolerance)."""
+    cfg = config.with_overrides(theta_max=theta_max, delta_max=delta_max)
+    model = cfg.build_model()
+    solution = solve_cmdp(model, cfg.f_max, cfg.lambda_max, cfg.tolerances.mixture)
+    return model, stationary_metrics(model, solution.policy).mu
 
-    Solves the constrained problem at both truncations, projects the
-    reference stationary law onto the small state space by aggregating all
-    saturated ages into the truncation boundary, and returns the divergence
-    of the small law from the projection.  No smoothing: mass on states the
-    projection never visits raises SupportMismatchError, or returns
-    math.inf (the divergence of mutually singular laws) when
-    infinite_on_mismatch is set.
+
+def _projected_kl(reference, small, infinite_on_mismatch: bool) -> float:
+    """Divergence of the small law from the reference law projected onto the
+    small state space; each argument is a (model, law) pair of ``_solved_law``.
+
+    The projection moves the reference mass of every age above the small
+    bounds onto the bound.  No smoothing: mass on states the projection
+    never visits raises SupportMismatchError, or returns math.inf (the
+    divergence of mutually singular laws) when infinite_on_mismatch is set.
     """
-    from .constrained import solve_cmdp  # local: avoids an import cycle
-
-    if theta_small > theta_ref or delta_small > delta_ref:
-        raise DomainError("small truncation must not exceed the reference")
-
-    def solved_mu(theta_max, delta_max):
-        cfg = config.with_overrides(theta_max=theta_max, delta_max=delta_max)
-        model = cfg.build_model()
-        solution = solve_cmdp(
-            model, cfg.f_max, cfg.lambda_max, cfg.tolerances.mixture
-        )
-        return model, stationary_metrics(model, solution.policy).mu
-
-    model_ref, mu_ref = solved_mu(theta_ref, delta_ref)
-    model_small, mu_small = solved_mu(theta_small, delta_small)
-
+    (model_ref, mu_ref), (model_small, mu_small) = reference, small
     proj = np.zeros(model_small.num_mdp_states)
-    tgt = model_small.encode(
-        model_ref.x_of,
-        model_ref.z_of,
-        np.minimum(model_ref.theta_of, theta_small),
-        np.minimum(model_ref.delta_of, delta_small),
-    )
+    theta = np.minimum(model_ref.theta_of, model_small.theta_max)
+    delta = np.minimum(model_ref.delta_of, model_small.delta_max)
+    tgt = model_small.encode(model_ref.x_of, model_ref.z_of, theta, delta)
     np.add.at(proj, tgt, mu_ref)
 
     support = mu_small > 0
@@ -214,6 +196,24 @@ def kl_truncation(
         )
     kl = float(np.sum(mu_small[support] * np.log(mu_small[support] / proj[support])))
     return max(kl, 0.0)
+
+
+def kl_truncation(config, theta_ref: int, delta_ref: int, theta_small: int, delta_small: int,
+                  infinite_on_mismatch: bool = False) -> float:
+    """Information loss of solving at a smaller truncation.
+
+    Solves the constrained problem at both truncations (``_solved_law``) and
+    returns the divergence of the small law from the reference law projected
+    onto the small state space (``_projected_kl``).  Mass on states the
+    projection never visits raises SupportMismatchError, or returns math.inf
+    when infinite_on_mismatch is set.  ``remest truncation`` calls the two
+    helpers itself, so that a grid solves its reference once.
+    """
+    if theta_small > theta_ref or delta_small > delta_ref:
+        raise DomainError("small truncation must not exceed the reference")
+    reference = _solved_law(config, theta_ref, delta_ref)
+    small = _solved_law(config, theta_small, delta_small)
+    return _projected_kl(reference, small, infinite_on_mismatch)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Finite Markov-chain algebra: validation, matrix powers, stationary laws, beliefs.
 
-A validated chain is immutable apart from its power cache, which is an
-append-only memo (populated eagerly up to the model's age truncation at
-build time, lazily beyond), so concurrent readers are safe.  The stationary
-law is one direct solve of the balance equations, periodic chains included;
-``Distribution.argmax`` breaks ties within 1e-12 toward the lowest index, so
-round-off never picks between exactly tied states.
+A validated chain is immutable apart from its power cache, an append-only
+memo filled in order of exponent as powers are asked for (the MAP estimate
+table asks for every power up to the model's age truncation), so
+concurrent readers are safe.  The stationary law is one direct solve of the
+balance equations, periodic chains included; ``Distribution.argmax`` breaks
+ties within 1e-12 toward the lowest index, so round-off never picks between
+exactly tied states.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class MarkovChain:
         if self._stationary is None:
             self._stationary = stationary(self)
         return self._stationary
-
-    def prefetch_powers(self, up_to: int) -> None:
-        """Populate the power cache for exponents 0..up_to."""
-        matrix_power(self, up_to)
 
 
 def validate_chain(rows) -> MarkovChain:

@@ -280,15 +280,12 @@ class SystemModel:
 
     # -- expected-continuation gathers -------------------------------------
     def ev_idle(self, values: np.ndarray) -> np.ndarray:
-        """E[V(next) | s, idle] for a value row (or stacked rows)."""
-        if values.ndim == 1:
-            return np.einsum("sk,sk->s", values[self.idle_targets], self.source_rows)
-        return np.einsum("rsk,sk->rs", values[:, self.idle_targets], self.source_rows)
+        """E[V(next) | s, idle] for a value row."""
+        return np.einsum("sk,sk->s", values[self.idle_targets], self.source_rows)
 
     def ev_success(self, values: np.ndarray) -> np.ndarray:
-        if values.ndim == 1:
-            return np.einsum("sk,sk->s", values[self.succ_targets], self.source_rows)
-        return np.einsum("rsk,sk->rs", values[:, self.succ_targets], self.source_rows)
+        """E[V(next) | s, delivered] for a value row."""
+        return np.einsum("sk,sk->s", values[self.succ_targets], self.source_rows)
 
 
 def build_model(
@@ -328,7 +325,6 @@ def build_model(
             raise DistortionDiagonalError(f"distortion diagonal nonzero at state {i}")
     d.setflags(write=False)
     rho.validate_nondecreasing(delta_max + 1)
-    chain.prefetch_powers(theta_max)
     estimates = build_estimate_table(chain, theta_max, mode=estimator_mode)
     return SystemModel(
         chain=chain,

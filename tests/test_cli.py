@@ -263,6 +263,54 @@ class TestCommands:
         assert lines[0].split(",")[:3] == ["theta_max", "delta_max", "kl"]
         assert len(lines) == 3
 
+    def test_truncation_solves_the_reference_once(self, config_path, tmp_path, monkeypatch):
+        # One solve of the config's own truncation for the whole grid and one
+        # per cell; each row's KL is kl_truncation's for that cell.
+        import remest.constrained
+        import remest.evaluation
+        from remest import kl_truncation
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_cmdp(*args, **kwargs)
+
+        for module in (remest.evaluation, remest.constrained):
+            monkeypatch.setattr(module, "solve_cmdp", counted)
+        out = tmp_path / "kl.json"
+        code = main([
+            "truncation", "--config", config_path, "--theta-grid", "1,6",
+            "--delta-grid", "3,6", "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(calls) == 1 + 4
+        monkeypatch.undo()
+        config = SystemConfig.from_file(config_path)
+        rows = json.loads(out.read_text())["records"]
+        kls = [r["kl"] for r in rows]
+        expected = [
+            kl_truncation(config, 6, 6, r["theta_max"], r["delta_max"], infinite_on_mismatch=True)
+            for r in rows
+        ]
+        assert kls == expected
+        assert math.inf in kls and 0.0 in kls
+
+    def test_truncation_rejects_a_larger_grid_before_solving(
+        self, config_path, capsys, monkeypatch
+    ):
+        import remest.evaluation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(remest.evaluation, "solve_cmdp", refuse)
+        args = ["truncation", "--config", config_path, "--theta-grid", "1,7"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
+
     def test_compare_estimators_pairs_rows(self, config_path, tmp_path):
         out = tmp_path / "cmp.csv"
         code = main([

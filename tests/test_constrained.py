@@ -253,6 +253,36 @@ class TestBuildMixture:
         expected = (0.1 - f_plus) / (f_minus - f_plus)
         assert abs(mix.p_linear - expected) < 1e-12
 
+    @pytest.mark.parametrize("fixture", ["main_model", "paper_model", "zoh_model"])
+    def test_default_frequencies_come_from_the_evaluator(
+        self, fixture, request, solved_main, monkeypatch
+    ):
+        # Without f_minus / f_plus the two ends are read off the root-find's
+        # own solve at p = 1 and p = 0, with no stationary law, and the
+        # mixture matches the one built from the stationary frequencies.
+        import remest.evaluation
+
+        model = request.getfixturevalue(fixture)
+        sol = solved_main(model, 0.1)
+        pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
+        given = build_mixture(
+            model, pm, pp, 0.1,
+            f_minus=stationary_metrics(model, pm).F, f_plus=stationary_metrics(model, pp).F,
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stationary_metrics(*args, **kwargs)
+
+        for module in (remest.evaluation, remest.constrained):
+            monkeypatch.setattr(module, "stationary_metrics", counted)
+        mix = build_mixture(model, pm, pp, 0.1)
+        assert calls == []
+        assert abs(mix.p - given.p) <= 1e-12
+        assert abs(mix.p_linear - given.p_linear) <= 1e-12
+        assert np.abs(np.subtract(mix._rates, given._rates)).max() <= 1e-12
+
     def test_budget_at_feasible_end_gives_p_zero(self, main_model, solved_main):
         sol = solved_main(main_model, 0.1)
         pm, pp = sol.policy.policy_minus, sol.policy.policy_plus
