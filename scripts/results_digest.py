@@ -2,10 +2,11 @@
 """Digest of the solver's results, to show that a change did not move them.
 
 Writes JSON with, for the MAP and ZOH models of a config under both slot
-timings, the sha256 of the ``spi_solve`` action table and its gain, J and F
-at every price in 0, 0.5, ..., 20, the same four per price from one warm
-``sweep_lambda`` over those prices, and the ``solve_cmdp`` result (kind,
-lambda*, p, J, F, or the error raised) at every budget in 0.05, ..., 0.30.
+timings, the sha256 of the ``spi_solve`` action table, the route of its
+evaluation (``GainBias.method``) and its gain, J and F at every price in 0,
+0.5, ..., 20, the same five per price from one warm ``sweep_lambda`` over
+those prices, and the ``solve_cmdp`` result (kind, lambda*, p, J, F, or the
+error raised) at every budget in 0.05, ..., 0.30.
 Each budget also carries the sha256 of the solution's action tables (the
 two pieces of a mixture) and, from ``stationary_metrics`` of its policy, the
 sha256 of the reachable set with F and J, the law's mean AoI and mean
@@ -30,9 +31,9 @@ truncation, inf on a support mismatch, or the error raised.
     python scripts/results_digest.py --compare old.json new.json
 
 ``--compare`` lists the action tables and fields that differ and the largest
-|delta| of the numbers; it exits 1 on any table, kind or error difference or
-on any |delta| above 1e-10 (on any difference at all in the simulate
-section, NaN equal to NaN; inf equals inf), and 0 otherwise.
+|delta| of the numbers; it exits 1 on any table, kind, route or error
+difference or on any |delta| above 1e-10 (on any difference at all in the
+simulate section, NaN equal to NaN; inf equals inf), and 0 otherwise.
 """
 
 import argparse
@@ -92,6 +93,7 @@ def digest(config_path: str) -> dict:
             policy, gb, _ = spi_solve(model, lam)
             points[f"{label}/lam={lam}"] = {
                 "actions_sha256": _sha256(policy.actions),
+                "method": gb.method,
                 "gain": gb.gain,
                 "J": gb.j_component,
                 "F": gb.f_component,
@@ -102,6 +104,7 @@ def digest(config_path: str) -> dict:
                 if out.policy is None
                 else {
                     "actions_sha256": _sha256(out.policy.actions),
+                    "method": out.gainbias.method,
                     "gain": out.gain,
                     "J": out.J,
                     "F": out.F,

@@ -139,7 +139,7 @@ def cmd_check(config: SystemConfig, args) -> tuple:
         }
     ]
     cols = list(rows[0].keys())
-    return rows, cols, "check"
+    return rows, cols
 
 
 def cmd_solve(config: SystemConfig, args) -> tuple:
@@ -160,7 +160,7 @@ def cmd_solve(config: SystemConfig, args) -> tuple:
             "differing_states": len(sol.policy.differing_states) if sol.is_mixture else 0,
         }
     ]
-    return rows, list(rows[0].keys()), "solve"
+    return rows, list(rows[0].keys())
 
 
 def cmd_solve_lambda(config: SystemConfig, args) -> tuple:
@@ -179,7 +179,7 @@ def cmd_solve_lambda(config: SystemConfig, args) -> tuple:
             "distinct_thresholds": len(view.distinct()),
         }
     ]
-    return rows, list(rows[0].keys()), "solve-lambda"
+    return rows, list(rows[0].keys())
 
 
 def _thresholds_digest(view) -> str:
@@ -204,7 +204,7 @@ def cmd_sweep(config: SystemConfig, args) -> tuple:
                 "config_digest": digest,
             }
         )
-    return rows, ["lambda", "F", "J", "L", "thresholds_digest", "config_digest"], "sweep"
+    return rows, ["lambda", "F", "J", "L", "thresholds_digest", "config_digest"]
 
 
 def cmd_thresholds(config: SystemConfig, args) -> tuple:
@@ -223,7 +223,7 @@ def cmd_thresholds(config: SystemConfig, args) -> tuple:
         rows.append(row)
     cols = ["f_max", "j_star", "lambda_star", "p", "kind",
             "threshold_minus", "threshold_plus", "config_digest"]
-    return rows, cols, "thresholds"
+    return rows, cols
 
 
 def _solve_or_none(model, f_max: float, config: SystemConfig):
@@ -260,7 +260,7 @@ def cmd_truncation(config: SystemConfig, args) -> tuple:
             kl = _projected_kl(reference, small, infinite_on_mismatch=True)
             rows.append({"theta_max": theta_small, "delta_max": delta_small, "kl": kl,
                          "config_digest": digest})
-    return rows, ["theta_max", "delta_max", "kl", "config_digest"], "truncation"
+    return rows, ["theta_max", "delta_max", "kl", "config_digest"]
 
 
 def cmd_compare_estimators(config: SystemConfig, args) -> tuple:
@@ -280,7 +280,7 @@ def cmd_compare_estimators(config: SystemConfig, args) -> tuple:
         rows.append({**row, "config_digest": digest})
     cols = ["f_max", "j_map", "j_zoh", "lambda_map", "lambda_zoh",
             "kind_map", "kind_zoh", "config_digest"]
-    return rows, cols, "compare-estimators"
+    return rows, cols
 
 
 def cmd_simulate(config: SystemConfig, args) -> tuple:
@@ -290,7 +290,7 @@ def cmd_simulate(config: SystemConfig, args) -> tuple:
     row = {"config_digest": config.digest(), "kind": sol.kind,
            "stationary_F": sol.F, "stationary_J": sol.J}
     row.update(report.as_dict())
-    return [row], list(row.keys()), "simulate"
+    return [row], list(row.keys())
 
 
 def cmd_selftest(config: SystemConfig, args) -> tuple:
@@ -348,7 +348,7 @@ def cmd_selftest(config: SystemConfig, args) -> tuple:
 
     n_fail = sum(1 for c in checks if not c["passed"])
     print(f"selftest: {len(checks) - n_fail}/{len(checks)} checks passed", file=sys.stderr)
-    return checks, ["check", "passed", "detail", "config_digest"], "selftest"
+    return checks, ["check", "passed", "detail", "config_digest"]
 
 
 def cmd_bisect(config: SystemConfig, args) -> tuple:
@@ -364,7 +364,7 @@ def cmd_bisect(config: SystemConfig, args) -> tuple:
             "iterations": trace.iterations,
         }
     ]
-    return rows, list(rows[0].keys()), "bisect"
+    return rows, list(rows[0].keys())
 
 
 COMMANDS = {
@@ -431,8 +431,8 @@ def main(argv=None) -> int:
             config = config.with_overrides(seed=args.seed)
         if args.fmax is not None:
             config = config.with_overrides(f_max=args.fmax)
-        rows, columns, experiment = COMMANDS[args.command](config, args)
-        meta = _meta(config, experiment)
+        rows, columns = COMMANDS[args.command](config, args)
+        meta = _meta(config, args.command)
         emit_results(rows, args.format, args.out, columns=columns, meta=meta)
         if args.command == "selftest" and any(not r["passed"] for r in rows):
             return 1

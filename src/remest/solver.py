@@ -21,7 +21,10 @@ gather per lower level, M by a Sherman-Morrison-Woodbury update of that
 (``_LevelFactor``).  The level layout (``LevelLayout``) is made once per
 model, on the first factorization.  A chain with several closed classes
 is evaluated class by class instead (``_class_solve``), and SPI compares
-its gains before its biases.  That route's class systems
+its gains before its biases.  Both routes check their answer by one
+Bellman residual (``_residual``), which applies K(q) through the model's
+successor tables (``SystemModel.ev_idle``/``ev_success``), as the
+Q-factors do.  The class route's class systems
 (``_class_systems``) also give every stationary law
 (``evaluation.stationary_metrics``), on the states the reference state
 reaches.  The pinned solve yields J and F of the policy, and its bias at
@@ -100,7 +103,10 @@ class GainBias:
     are never re-priced.  ``gains`` is every state's gain on "class-solve",
     whose closed classes can differ in gain (``gain``, J and F are the
     reference state's), and None on the unichain routes.  ``residual`` is
-    the largest Bellman residual of (gain, bias).  ``method`` names the
+    the largest Bellman residual of (gain, bias) (``_residual``), or of each
+    cost row for a caller that reads J and F on their own; a re-priced
+    evaluation reads it off SPI's Q-factors (``_evaluation``), and "rvi"
+    holds the span of its last value difference.  ``method`` names the
     route: "pinned-lu" (the full-space level solve of ``_pinned_lu``),
     "class-solve" (a multichain policy, ``_class_solve``) or "rvi".
     ``sweeps`` counts value-iteration sweeps and is 0 for a direct solve.
@@ -151,19 +157,14 @@ class ThresholdView:
     @staticmethod
     def from_policy(model: SystemModel, policy: DeterministicPolicy) -> "ThresholdView":
         a = _by_triple(model, policy.actions).astype(bool)
-        pinned = _by_triple(model, model.idle_pinned)[:, 0]
         same = _by_triple(model, model.case_same_error)[:, 0]
         sends = a.any(axis=1)
         first = a.argmax(axis=1)  # first transmitting slot; 0 when none
-        canonical = (np.logical_or.accumulate(a, axis=1) == a).all(axis=1)
+        shape = _shape_faults(model, a)
+        # Without a shape fault only unpinned triples send.
         fault = np.select(
-            [
-                pinned & sends,
-                ~pinned & ~canonical,
-                ~pinned & sends & same & (first == model.delta_max),
-                ~pinned & sends & ~same & (first != 0),
-            ],
-            [1, 2, 3, 4],
+            [shape > 0, sends & same & (first == model.delta_max), sends & ~same & (first != 0)],
+            [shape, 3, 4],
         )
         bad = np.flatnonzero(fault)
         if bad.size:
@@ -178,7 +179,7 @@ class ThresholdView:
                     f"fresh-error triple {triple} has a delta-dependent action",
                 )[fault[bad[0]] - 1]
             )
-        free = np.flatnonzero(~pinned)
+        free = np.flatnonzero(~_by_triple(model, model.idle_pinned)[:, 0])
         thr = np.where(same, first + model.threshold_offset, 1)[free].tolist()
         values = (t if s else INF for t, s in zip(thr, sends[free]))
         return ThresholdView(dict(zip(_triple_keys(model, free), values)), model.delta_max)
@@ -187,6 +188,15 @@ class ThresholdView:
 def _by_triple(model: SystemModel, values: np.ndarray) -> np.ndarray:
     """The (triples, delta_max + 1) reshape: one row per (x, z, theta) triple."""
     return values.reshape(-1, model.delta_max + 1)
+
+
+def _shape_faults(model: SystemModel, a: np.ndarray) -> np.ndarray:
+    """Switching-shape fault of each row of the boolean triple reshape
+    ``a``: 1 if a synced triple transmits, 2 if the action drops as the
+    error age grows, 0 if neither."""
+    pinned = _by_triple(model, model.idle_pinned)[:, 0]
+    drops = (np.logical_or.accumulate(a, axis=1) != a).any(axis=1)
+    return np.select([pinned & a.any(axis=1), ~pinned & drops], [1, 2])
 
 
 def _triple_keys(model: SystemModel, rows: np.ndarray) -> list:
@@ -255,8 +265,7 @@ class LevelLayout:
     equal success targets share a success row: ``group[p]`` numbers the row
     of level position p, and ``weights`` (G, |T|) holds the G rows at the
     columns of T, so the success part of K(q) is diag(p_s q) E W S_T (E the
-    S x G group indicator, S_T picking T).  ``targets`` (2n, S) lists each
-    state's idle, then its success targets.  ``top`` is the CSC pattern of
+    S x G group indicator, S_T picking T).  ``top`` is the CSC pattern of
     the theta_max block with its border, columns in a fill-reducing order
     (block column c is stored at ``top_position[c]``): indices, indptr, and
     the data slots of the idle entries, of the unit entries (identity and
@@ -272,7 +281,6 @@ class LevelLayout:
     resets: np.ndarray
     group: np.ndarray
     weights: np.ndarray
-    targets: np.ndarray
     top: tuple
     top_position: np.ndarray
     top_closed: np.ndarray
@@ -290,9 +298,10 @@ def level_layout(model: SystemModel) -> LevelLayout:
     idle_local = position[model.idle_targets[states].T] % size
     # Targets carry the content x, so a distinct row of them is a success row.
     reset_states, col = np.unique(model.succ_targets[states], return_inverse=True)
-    group = np.zeros(states.size, dtype=np.int64)
-    for c in col.reshape(-1, n).T:  # number the distinct rows, one column at a time
-        _, group = np.unique(group * reset_states.size + c, return_inverse=True)
+    # Rows numbered in lexicographic order by one np.unique: big-endian bytes
+    # sort as the numbers do (axis=0 numbers them alike, ten times slower).
+    succ = np.ascontiguousarray(col.reshape(-1, n), dtype=">u4")
+    _, group = np.unique(succ.view(f"V{4 * n}").ravel(), return_inverse=True)
     weights = np.zeros((group.max() + 1, reset_states.size))
     weights[group[:, None], col.reshape(-1, n)] = model.source_rows[states]
     diag = np.arange(size)
@@ -318,7 +327,6 @@ def level_layout(model: SystemModel) -> LevelLayout:
         resets=position[reset_states].astype(np.int32),
         group=group.astype(np.int32),
         weights=weights,
-        targets=np.vstack([model.idle_targets.T, model.succ_targets.T]).astype(np.int32),
         top=tuple(a.astype(np.int32) for a in top),
         top_position=top_position.astype(np.int32),
         top_closed=top_closed.astype(np.int32),
@@ -340,58 +348,42 @@ class _LevelFactor:
     lower level from the level above (``_sweep``).  Spreading the pin keeps
     that block nonsingular when the theta_max level holds one closed class
     without the reference state, as a policy that never transmits at some
-    content does.  The first solve sweeps U with its right-hand side and
-    closes the capacitance C = I - V^T M0^{-1} U (``z`` holds M0^{-1} U,
-    ``cap`` the LU of C); each solve is then one sweep and a
+    content does.  A solve sweeps U with its right-hand side, closes the
+    capacitance C = I - V^T M0^{-1} U and applies the
     Sherman-Morrison-Woodbury update (Hager, SIAM Review 31(2), 1989).
     ``block`` is the theta_max block itself, kept to refine its solves.
-    ``kernel`` (2n, S) holds K's entries at the layout's ``targets``,
-    ``send`` p_s q in level order, and ``idle`` (theta_max + 1, n, L) K's
-    idle entries in level order.
+    ``send`` holds p_s q in level order, and ``idle`` (theta_max + 1, n, L)
+    K's idle entries in level order.
     """
 
     model: SystemModel
     layout: LevelLayout
-    kernel: np.ndarray
     idle: np.ndarray
     send: np.ndarray
     pin: np.ndarray
     block: sp.csc_matrix
     lu: spla.SuperLU
-    z: np.ndarray | None = None
-    cap: tuple | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M x = rhs in M's own unknowns."""
         lay = self.layout
         b = np.take(np.reshape(rhs, (lay.order.size, -1)), lay.order, axis=0)
-        # M^{-1} = (I + z C^{-1} V^T) M0^{-1}.
-        if self.z is None:
-            x = self._swept(b)
-            self._close(x)
-            b = x[:, : b.shape[1]]
-        else:
-            self._sweep(b)
-        b += self.z @ _GETRS(*self.cap, self._vt(b))[0]
-        return np.take(b, lay.position, axis=0).reshape(np.shape(rhs))
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """M x for one vector in M's own unknowns."""
-        h = x[:-1]
-        out = np.empty(x.size)
-        out[:-1] = h - (self.kernel * h.take(self.layout.targets)).sum(axis=0) + x[-1]
-        out[-1] = h[self.model.ref_index]
-        return out
-
-    def _swept(self, b: np.ndarray) -> np.ndarray:
-        """M0^{-1} [b, U] from one sweep, as one level-order array."""
-        lay = self.layout
-        x = np.zeros((lay.order.size, b.shape[1] + lay.weights.shape[0] + 1))
-        x[:, : b.shape[1]] = b
-        x[np.arange(self.send.size), b.shape[1] + lay.group] = self.send
+        k = b.shape[1]
+        # One sweep gives M0^{-1} [b, U]; z = M0^{-1} U closes the capacitance.
+        x = np.zeros((lay.order.size, k + lay.weights.shape[0] + 1))
+        x[:, :k] = b
+        x[np.arange(self.send.size), k + lay.group] = self.send
         x[-1, -1] = -1.0
         self._sweep(x)
-        return x
+        b, z = x[:, :k], x[:, k:]
+        cap = -self._vt(z)
+        cap.flat[:: cap.shape[0] + 1] += 1.0
+        lu, piv, info = _GETRF(cap)
+        if info > 0:
+            raise RuntimeError("capacitance is exactly singular")
+        # M^{-1} = (I + z C^{-1} V^T) M0^{-1}.
+        b += z @ _GETRS(lu, piv, self._vt(b))[0]
+        return np.take(b, lay.position, axis=0).reshape(np.shape(rhs))
 
     def _vt(self, x: np.ndarray) -> np.ndarray:
         """V^T x: W times x at T, and x at the reference state less its pin
@@ -400,17 +392,6 @@ class _LevelFactor:
         top = x.shape[0] - self.pin.size - 1
         ref = x[lay.position[self.model.ref_index]] - self.pin @ x[top:-1]
         return np.vstack([lay.weights @ x[lay.resets], ref])
-
-    def _close(self, x: np.ndarray) -> None:
-        """Keep z = M0^{-1} U, the last columns of ``x``, and the LU of the
-        capacitance."""
-        z = x[:, x.shape[1] - self.layout.weights.shape[0] - 1 :]
-        cap = -self._vt(z)
-        cap.flat[:: cap.shape[0] + 1] += 1.0
-        lu, piv, info = _GETRF(cap)
-        if info > 0:
-            raise RuntimeError("capacitance is exactly singular")
-        self.z, self.cap = z, (lu, piv)
 
     def _sweep(self, x: np.ndarray) -> None:
         """x <- M0^{-1} x in place: the theta_max block with the gain, then
@@ -457,7 +438,7 @@ def _pinned_lu(model: SystemModel, tx_prob: np.ndarray) -> _LevelFactor:
     data[pin_slot] = pin
     block = sp.csc_matrix((data, indices, indptr), shape=(size + 1, size + 1))
     lu = spla.splu(block, permc_spec="NATURAL", relax=1, panel_size=1)
-    return _LevelFactor(model, lay, kernel, idle, send, pin, block, lu)
+    return _LevelFactor(model, lay, idle, send, pin, block, lu)
 
 
 def _class_systems(kernel: sp.csr_matrix, ref: int):
@@ -526,7 +507,8 @@ def policy_evaluate(model: SystemModel, policy: DeterministicPolicy, lam: float)
     or the residual of (gain, bias) exceeds RESIDUAL_TOL (a policy whose
     chain splits into closed classes with unequal gains), the policy is
     evaluated class by class instead (``_class_solve``), which meets
-    RESIDUAL_TOL or raises ConvergenceFailure.
+    RESIDUAL_TOL or raises ConvergenceFailure.  Both routes check the same
+    residual (``_residual``), through the model's successor tables.
     """
     _check_actions(model, policy.actions)
     return _evaluate(model, policy.actions.astype(float), _stage_costs(model, policy.actions), lam)
@@ -537,16 +519,15 @@ def _evaluate(model, q, costs, lam, split=False) -> GainBias:
     or a mixture's coin-weighted one, with its cost rows (error, tx).  The
     residual checked is that of (gain, bias) at lam, or with ``split`` that
     of each column, for callers that read J and F on their own."""
-    rhs = np.vstack([costs.T, np.zeros((1, 2))])
     try:
-        factor = _pinned_lu(model, q)
-        sol = factor.solve(rhs)
+        sol = _pinned_lu(model, q).solve(np.vstack([costs.T, np.zeros((1, 2))]))
     except RuntimeError:  # singular
         return _class_solve(model, q, lam, costs, split)
     sol[:-1] -= sol[model.ref_index]  # h = 0 at ref exactly; K's rows sum to one
     priced = sol[:, 0] + lam * sol[:, 1]  # (bias, gain) at lam
-    checked = zip(sol.T, rhs.T) if split else [(priced, rhs[:, 0] + lam * rhs[:, 1])]
-    resid = max(float(np.abs(factor.matvec(x) - b).max()) for x, b in checked)
+    price = np.array([1.0, lam])
+    cols = zip(sol[-1], sol[:-1].T, costs) if split else [(priced[-1], priced[:-1], price @ costs)]
+    resid = max(_residual(model, q, *col) for col in cols)
     if not resid <= RESIDUAL_TOL:
         return _class_solve(model, q, lam, costs, split)
     j, f = sol[-1]
@@ -585,15 +566,31 @@ def _class_solve(model, q, lam, costs, split=False) -> GainBias:
         bias[t] = lu_t.solve(cost[t] - gain[t] + kernel[t] @ bias)
     bias -= bias[model.ref_index]
     price = np.array([1.0, lam])
-    g, h, cost = (gain, bias, cost) if split else (gain @ price, bias @ price, cost @ price)
-    resid = max(np.abs(g - kernel @ g).max(), np.abs(g + h - cost - kernel @ h).max())
+    g, h = gain @ price, bias @ price
+    cols = zip(gain.T, bias.T, costs) if split else [(g, h, price @ costs)]
+    resid = max(_residual(model, q, *col) for col in cols)
     if not resid <= RESIDUAL_TOL:
         raise ConvergenceFailure(f"class-by-class evaluation has residual {resid:.2e}")
     j, f = gain[model.ref_index]
     return GainBias(
-        gain=float(j + lam * f), bias=bias @ price, lam=lam, j_component=float(j),
-        f_component=float(f), residual=float(resid), method="class-solve", gains=gain @ price,
+        gain=float(j + lam * f), bias=h, lam=lam, j_component=float(j),
+        f_component=float(f), residual=resid, method="class-solve", gains=g,
     )
+
+
+def _kernel_times(model: SystemModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K(q) v for one value row, by the model's successor tables."""
+    ev_i = model.ev_idle(v)
+    return ev_i + model.p_s * q * (model.ev_success(v) - ev_i)
+
+
+def _residual(model: SystemModel, q, gain, bias: np.ndarray, cost: np.ndarray) -> float:
+    """Bellman residual max(|g - Kg|, |g + h - c - Kh|) of a gain and bias
+    for the cost row c under K(q); the |g - Kg| term only for a per-state g."""
+    resid = np.abs(gain + bias - cost - _kernel_times(model, q, bias)).max()
+    if np.ndim(gain):
+        resid = max(resid, np.abs(gain - _kernel_times(model, q, gain)).max())
+    return float(resid)
 
 
 def _repriced(gb: GainBias, lam: float) -> GainBias:
@@ -762,12 +759,7 @@ def rvi_solve(model: SystemModel, lam: float) -> tuple[DeterministicPolicy, Gain
 def check_switching_structure(policy: DeterministicPolicy, model: SystemModel) -> list:
     """Violations of the switching shape: transmit at a synced state, or an
     action that drops as the error age grows within a triple."""
-    a = _by_triple(model, policy.actions).astype(bool)
-    pinned = _by_triple(model, model.idle_pinned)[:, 0]
-    kind = np.select(
-        [pinned & a.any(axis=1), ~pinned & (np.logical_or.accumulate(a, axis=1) != a).any(axis=1)],
-        [1, 2],
-    )
+    kind = _shape_faults(model, _by_triple(model, policy.actions).astype(bool))
     bad = np.flatnonzero(kind)
     names = ("transmit-at-synced", "non-monotone")
     return [

@@ -1017,3 +1017,52 @@ def test_start_failing_residual_check_is_evaluated_again(main_model, monkeypatch
     assert np.array_equal(factored[0], reactive.actions)
     assert warm.same_as(policy)
     assert abs(gb_warm.gain - gb.gain) < 1e-10
+
+
+def test_wrong_level_solve_falls_back_to_the_class_route(main_model, monkeypatch):
+    # A level solve off by 1e-6 at one state fails the Bellman residual
+    # check, so the evaluation is made class by class instead.
+    policy = reactive_policy(main_model)
+    exact = policy_evaluate(main_model, policy, 2.0)
+    assert exact.method == "pinned-lu"
+    solve = remest.solver._LevelFactor.solve
+    state = (main_model.ref_index + 1) % main_model.num_mdp_states
+
+    def off_by_one_state(self, rhs):
+        x = solve(self, rhs)
+        x[state] += 1e-6
+        return x
+
+    monkeypatch.setattr(remest.solver._LevelFactor, "solve", off_by_one_state)
+    gb = policy_evaluate(main_model, policy, 2.0)
+    assert gb.method == "class-solve"
+    assert abs(gb.gain - exact.gain) <= 1e-9
+    assert np.abs(gb.bias - exact.bias).max() <= 1e-9
+
+
+def test_wrong_class_solve_raises(zoh_model, monkeypatch):
+    # Never transmitting on the hold-last-value model splits the chain into
+    # closed classes; a class solve off by 1e-6 at one state must not pass.
+    policy = never_transmit_policy(zoh_model)
+    assert policy_evaluate(zoh_model, policy, 2.0).method == "class-solve"
+    class_systems = remest.solver._class_systems
+
+    class OffByOneState:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            x[0] += 1e-6
+            return x
+
+    def perturbed(kernel, ref):
+        members, lus, *rest = class_systems(kernel, ref)
+        largest = int(np.argmax([states.size for states in members]))
+        assert members[largest].size > 1  # one state's bias is always zero
+        lus[largest] = OffByOneState(lus[largest])
+        return (members, lus, *rest)
+
+    monkeypatch.setattr(remest.solver, "_class_systems", perturbed)
+    with pytest.raises(ConvergenceFailure):
+        policy_evaluate(zoh_model, policy, 2.0)
